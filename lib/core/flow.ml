@@ -108,14 +108,14 @@ let session_hooks s =
       (fun ~edits ~new_revision ->
         Evaluator.Incremental.note_edits s ~edits ~new_revision) }
 
-let plain_hooks config =
-  { Speculate.eval =
-      (fun ?edits:_ t ->
-        Evaluator.evaluate ~engine:config.Config.engine
-          ~flat:config.Config.flat ~seg_len:config.Config.seg_len
-          ~transient_step:config.Config.transient_step
-          ~transient_mode:config.Config.transient_mode t);
-    note = (fun ~edits:_ ~new_revision:_ -> ()) }
+(* One incremental session under [c]'s kernel settings — the only
+   evaluation schedule the flow uses. [store] is attached only by the
+   primary session of a run that shares stage results across requests. *)
+let new_session ?parallel ?store (c : Config.t) tree =
+  Evaluator.Incremental.create ~engine:c.Config.engine ~flat:c.Config.flat
+    ~seg_len:c.Config.seg_len ?parallel
+    ~transient_step:c.Config.transient_step
+    ~transient_mode:c.Config.transient_mode ?store tree
 
 (* ------------------------------------------------------------------ *)
 (* Verified on-disk checkpoints.
@@ -381,12 +381,144 @@ let () =
         (Printf.sprintf "Invariant_violation(%s)" (String.concat "; " errs))
     | _ -> None)
 
+(* ------------------------------------------------------------------ *)
+(* Stage driver shared by [run] and [run_regional]: the trace, the
+   incidents, the per-stage metas and the verified checkpoints of one
+   flow.
+
+   Every counter in a trace entry is a per-step delta against the value
+   seen at the previous [record]; [eval_runs] and [seconds] stay
+   cumulative, as documented. Cache counters are read from the session
+   that evaluated the step and restart from zero whenever that session
+   changes (a stage retry rebuilds it). *)
+
+type driver = {
+  d_t0 : float;
+  d_runs0 : int;
+  d_on_step : (trace_entry -> unit) option;
+  d_on_incident : (incident -> unit) option;
+  mutable d_trace : trace_entry list;  (* newest first *)
+  mutable d_incidents : incident list;  (* newest first *)
+  mutable d_metas : stage_meta list;  (* in step order *)
+  mutable d_last_t : float;
+  mutable d_last_kc : Analysis.Transient.counters;
+  mutable d_last_att : int;
+  mutable d_last_acc : int;
+  mutable d_last_cache : (Evaluator.Incremental.session * int * int) option;
+}
+
+let driver ?on_step ?on_incident () =
+  let now = Monoclock.now () in
+  { d_t0 = now; d_runs0 = Evaluator.eval_count (); d_on_step = on_step;
+    d_on_incident = on_incident; d_trace = []; d_incidents = [];
+    d_metas = []; d_last_t = now; d_last_kc = Analysis.Transient.counters ();
+    d_last_att = Ivc.attempts (); d_last_acc = Ivc.accepts ();
+    d_last_cache = None }
+
+let push d ~now entry =
+  d.d_trace <- entry :: d.d_trace;
+  d.d_last_t <- now;
+  Option.iter (fun f -> f entry) d.d_on_step
+
+let add_incident d inc =
+  d.d_incidents <- inc :: d.d_incidents;
+  Option.iter (fun f -> f inc) d.d_on_incident
+
+let incident d step attempt error action =
+  add_incident d
+    { inc_step = step; inc_attempt = attempt; inc_error = error;
+      inc_action = action }
+
+(* A cooperative deadline is recorded and re-raised, never retried. *)
+let deadline d step attempt =
+  incident d step attempt "deadline exceeded" "deadline";
+  raise Ivc.Deadline_exceeded
+
+(* Record a completed step evaluated through [session]. [extra] adds IVC
+   attempts/accepts the step made outside {!Ivc} (the polish rounds). *)
+let record d ~session ?(extra = (0, 0)) step (ev : Evaluator.t) =
+  let now = Monoclock.now () in
+  let st = Evaluator.Incremental.stats session in
+  let hits0, misses0 =
+    match d.d_last_cache with
+    | Some (s, h, m) when s == session -> (h, m)
+    | Some _ | None -> (0, 0)
+  in
+  let kc = Analysis.Transient.counters () in
+  let att = Ivc.attempts () and acc = Ivc.accepts () in
+  let delta f = f kc - f d.d_last_kc in
+  push d ~now
+    { step; skew = ev.Evaluator.skew; clr = ev.Evaluator.clr;
+      t_max = ev.Evaluator.t_max;
+      eval_runs = Evaluator.eval_count () - d.d_runs0;
+      seconds = now -. d.d_t0;
+      cache_hits = st.Evaluator.hits - hits0;
+      cache_misses = st.Evaluator.misses - misses0;
+      step_seconds = now -. d.d_last_t;
+      kernel_solves = delta (fun k -> k.Analysis.Transient.total_solves);
+      kernel_saved = delta (fun k -> k.Analysis.Transient.total_saved);
+      kernel_truncations =
+        delta (fun k -> k.Analysis.Transient.total_truncations);
+      attempts = fst extra + att - d.d_last_att;
+      accepts = snd extra + acc - d.d_last_acc };
+  d.d_last_cache <- Some (session, st.Evaluator.hits, st.Evaluator.misses);
+  d.d_last_kc <- kc;
+  d.d_last_att <- att;
+  d.d_last_acc <- acc;
+  d.d_metas <-
+    d.d_metas
+    @ [ { m_step = step; m_skew = ev.Evaluator.skew; m_clr = ev.Evaluator.clr;
+          m_t_max = ev.Evaluator.t_max;
+          m_slew_waived = ev.Evaluator.slew_violations > 0;
+          m_cap_waived = not ev.Evaluator.cap_ok } ]
+
+(* Synthetic trace entries for stages a resume skips: the metrics come
+   from the checkpoint, the per-step counters are zero (no work was
+   repeated). *)
+let replay d metas =
+  List.iter
+    (fun m ->
+      let now = Monoclock.now () in
+      push d ~now
+        { step = m.m_step; skew = m.m_skew; clr = m.m_clr; t_max = m.m_t_max;
+          eval_runs = Evaluator.eval_count () - d.d_runs0;
+          seconds = now -. d.d_t0; cache_hits = 0;
+          cache_misses = 0; step_seconds = 0.; kernel_solves = 0;
+          kernel_saved = 0; kernel_truncations = 0; attempts = 0;
+          accepts = 0 })
+    metas;
+  d.d_metas <- d.d_metas @ metas
+
+(* Persist the state after [step] with every meta recorded so far.
+   Structural invariants are checked by the caller; the electrical gate
+   refuses a state whose headline numbers are not finite (a truncated
+   march's [infinity] latency is not a verified state). Slew/cap
+   violations do not block — they are recorded as waived in the meta. An
+   unwritable checkpoint must not fail (or retry) an otherwise successful
+   stage: the run just loses this resume point. *)
+let checkpoint d ~dir ~step ~attempt ~tree ~buf ~polarity ~repair
+    (ev : Evaluator.t) =
+  if
+    Float.is_finite ev.Evaluator.skew
+    && Float.is_finite ev.Evaluator.clr
+    && Float.is_finite ev.Evaluator.t_max
+  then (
+    try
+      Checkpoint.save ~dir ~step ~tree ~buf ~polarity ~repair ~metas:d.d_metas
+    with e ->
+      incident d step attempt (Printexc.to_string e) "checkpoint-skipped")
+  else
+    incident d step attempt "non-finite skew/CLR/latency" "checkpoint-skipped"
+
+let finish d ~tree ~final ~chosen_buf ~polarity ~repair ~surrogate =
+  { tree; trace = List.rev d.d_trace; final; chosen_buf; polarity; repair;
+    incidents = List.rev d.d_incidents;
+    eval_runs = Evaluator.eval_count () - d.d_runs0;
+    seconds = Monoclock.now () -. d.d_t0; surrogate }
+
 let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
     ?(resume = false) ~tech ~source ?(obstacles = []) sinks =
-  let t0 = Monoclock.now () in
-  let runs0 = Evaluator.eval_count () in
-  let kc0 = Analysis.Transient.counters () in
-  let att0 = Ivc.attempts () and acc0 = Ivc.accepts () in
+  let d = driver ?on_step ?on_incident () in
   let base_config = config in
   let loaded =
     if resume then
@@ -406,8 +538,6 @@ let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
       (tree, buf, pol, rep, [], -1)
   in
   let tree = ref tree0 in
-  let metas = ref resumed_metas in
-  let incidents = ref [] in
   let baseline : Evaluator.t option ref = ref None in
   (* Fault injection (tests and drills): armed once the INITIAL
      evaluation is recorded, the next [inject_numerical_failures]
@@ -430,79 +560,58 @@ let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
   (* The degraded-mode ladder: attempt 0 is the caller's configuration;
      attempt 1 turns speculation serial and pins the transient kernel to
      the fixed-rate reference march; attempt 2 additionally halves the
-     timestep and drops the incremental session (plain from-scratch
-     evaluations). Later attempts (when [max_stage_retries] is raised)
-     stay at the most conservative rung. *)
+     timestep and retreats from the flat kernel to the boxed reference
+     path. Later attempts (when [max_stage_retries] is raised) stay at
+     the most conservative rung. *)
   let degraded_config k =
     if k = 0 then base_config
     else begin
       let c =
         { base_config with
-          Config.speculation =
-            (if base_config.Config.speculation < 0 then -1 else 1);
+          Config.speculation = 1;
           transient_mode = Analysis.Transient.Fixed }
       in
       if k = 1 then c
       else
-        (* The most conservative rung also retreats from the flat kernel
-           to the boxed reference path. *)
         { c with
           Config.transient_step = base_config.Config.transient_step /. 2.;
-          incremental = false;
           flat = false }
     end
   in
-  let session = ref None in
-  let main_hooks = ref (plain_hooks base_config) in
-  let cfg = ref base_config in
-  let last_hits = ref 0 and last_misses = ref 0 in
   (* One surrogate calibration state per run (never shared across
      domains — regional and suite fan-outs each create their own), armed
-     only when the caller opted in and the journaled search is active. *)
+     only when the caller opted in. *)
   let surrogate_state =
-    if base_config.Config.surrogate && base_config.Config.speculation >= 0
-    then Some (Analysis.Surrogate.create ())
+    if base_config.Config.surrogate then Some (Analysis.Surrogate.create ())
     else None
   in
-  (* One incremental session drives every CNE of the optimization steps
-     (unless disabled): the session survives IVC attempt/rollback cycles,
-     so stages untouched by a rejected or localised move are answered from
-     cache. [refresh ~tree] rebinds because Buffer_slide.respace returns a
+  let cfg = ref base_config in
+  (* One incremental session drives every CNE of the optimization steps:
+     the session survives IVC attempt/rollback cycles, so stages
+     untouched by a rejected or localised move are answered from cache.
+     [refresh ~tree] rebinds because Buffer_slide.respace returns a
      rebuilt tree. On a stage retry the session is rebuilt from scratch
      over the restored tree — its caches are content-addressed, so a
-     rebuild costs misses, never correctness. *)
+     rebuild costs misses, never correctness. Returns the session and
+     its (fault-wrapped) hooks. *)
   let rebuild ~degraded =
     let c = degraded_config degraded in
     (* The shared cross-request store is only safe while the kernel
        settings match what its keys were computed under: degraded
        retries relax mode and step, so they run self-contained. *)
     let store = if degraded = 0 then c.Config.store else None in
-    session :=
-      (if c.Config.incremental then
-         Some
-           (Evaluator.Incremental.create ~engine:c.Config.engine
-              ~flat:c.Config.flat ~seg_len:c.Config.seg_len
-              ~transient_step:c.Config.transient_step
-              ~transient_mode:c.Config.transient_mode ?store !tree)
-       else None);
-    let hooks =
-      match !session with
-      | Some s -> session_hooks s
-      | None -> plain_hooks c
-    in
-    let hooks = wrap_hooks hooks in
-    main_hooks := hooks;
-    last_hits := 0;
-    last_misses := 0;
+    let s = new_session ?store c !tree in
+    let hooks = wrap_hooks (session_hooks s) in
     (* Degraded retries run without surrogate ranking: recovery should
        take the conservative, fully-evaluated path. *)
     cfg :=
       { c with
         Config.evaluator = Some hooks;
         spec = None;
-        surrogate_state = (if degraded = 0 then surrogate_state else None) }
+        surrogate_state = (if degraded = 0 then surrogate_state else None) };
+    (s, hooks)
   in
-  rebuild ~degraded:0;
+  let main = ref (rebuild ~degraded:0) in
   let evaluate t = Ivc.evaluate !cfg t in
   let ensure_baseline () =
     match !baseline with
@@ -514,105 +623,21 @@ let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
   in
   (* Speculation context over the flow's main tree: [width - 1] replica
      lanes, each with its own incremental session ([~parallel:false] —
-     the lanes themselves run on the domain pool). [speculation = -1]
-     keeps the legacy copy-based attempts and installs no context. *)
+     the lanes themselves run on the domain pool). *)
   let install_spec () =
-    if !cfg.Config.speculation >= 0 then begin
-      let c = !cfg in
-      let slot_hooks replica =
-        wrap_hooks
-          (if c.Config.incremental then
-             session_hooks
-               (Evaluator.Incremental.create ~engine:c.Config.engine
-                  ~flat:c.Config.flat ~seg_len:c.Config.seg_len
-                  ~parallel:false ~transient_step:c.Config.transient_step
-                  ~transient_mode:c.Config.transient_mode replica)
-           else plain_hooks c)
-      in
-      let spec =
-        Speculate.create ~width:(Config.speculation_width c) ~main:!tree
-          ~main_hooks:!main_hooks ~slot_hooks ()
-      in
-      cfg := { !cfg with Config.spec = Some spec }
-    end
-  in
-  let trace = ref [] in
-  let last_t = ref (Monoclock.now ()) in
-  (* Every counter in a trace entry is a per-step delta against the value
-     seen at the previous [record] (cache stats used to be cumulative
-     session totals while the kernel counters were deltas — mixed
-     semantics that made the streamed telemetry inconsistent). [eval_runs]
-     and [seconds] stay cumulative, as documented. *)
-  let last_kc = ref kc0 in
-  let last_att = ref att0 and last_acc = ref acc0 in
-  let record step (ev : Evaluator.t) =
-    let now = Monoclock.now () in
-    let hits, misses =
-      match !session with
-      | Some s ->
-        let st = Evaluator.Incremental.stats s in
-        (st.Evaluator.hits, st.Evaluator.misses)
-      | None -> (0, 0)
+    let c = !cfg in
+    let slot_hooks replica =
+      wrap_hooks (session_hooks (new_session ~parallel:false c replica))
     in
-    let kc = Analysis.Transient.counters () in
-    let entry =
-      {
-        step;
-        skew = ev.Evaluator.skew;
-        clr = ev.Evaluator.clr;
-        t_max = ev.Evaluator.t_max;
-        eval_runs = Evaluator.eval_count () - runs0;
-        seconds = now -. t0;
-        cache_hits = hits - !last_hits;
-        cache_misses = misses - !last_misses;
-        step_seconds = now -. !last_t;
-        kernel_solves =
-          kc.Analysis.Transient.total_solves
-          - !last_kc.Analysis.Transient.total_solves;
-        kernel_saved =
-          kc.Analysis.Transient.total_saved
-          - !last_kc.Analysis.Transient.total_saved;
-        kernel_truncations =
-          kc.Analysis.Transient.total_truncations
-          - !last_kc.Analysis.Transient.total_truncations;
-        attempts = Ivc.attempts () - !last_att;
-        accepts = Ivc.accepts () - !last_acc;
-      }
+    let spec =
+      Speculate.create ~width:(Config.speculation_width c) ~main:!tree
+        ~main_hooks:(snd !main) ~slot_hooks ()
     in
-    trace := entry :: !trace;
-    last_t := now;
-    last_hits := hits;
-    last_misses := misses;
-    last_kc := kc;
-    last_att := Ivc.attempts ();
-    last_acc := Ivc.accepts ();
-    match on_step with Some f -> f entry | None -> ()
+    cfg := { c with Config.spec = Some spec }
   in
-  let incident step attempt error action =
-    let inc =
-      { inc_step = step; inc_attempt = attempt; inc_error = error;
-        inc_action = action }
-    in
-    incidents := inc :: !incidents;
-    match on_incident with Some f -> f inc | None -> ()
-  in
-  (* Synthetic trace entries for the stages a resumed run skips: the
-     metrics come from the checkpoint, the per-step counters are zero
-     (no work was repeated). *)
-  List.iter
-    (fun m ->
-      let now = Monoclock.now () in
-      let entry =
-        { step = m.m_step; skew = m.m_skew; clr = m.m_clr;
-          t_max = m.m_t_max; eval_runs = Evaluator.eval_count () - runs0;
-          seconds = now -. t0; cache_hits = 0; cache_misses = 0;
-          step_seconds = 0.; kernel_solves = 0; kernel_saved = 0;
-          kernel_truncations = 0; attempts = 0; accepts = 0 }
-      in
-      trace := entry :: !trace;
-      last_t := now;
-      match on_step with Some f -> f entry | None -> ())
-    resumed_metas;
+  (* Construction is not part of INITIAL's step time. *)
+  d.d_last_t <- Monoclock.now ();
+  replay d resumed_metas;
   (* Run one stage under the retry umbrella: snapshot the tree, run the
      body, check structural invariants, record the step and (when
      verified) checkpoint it. Any failure except a cooperative deadline
@@ -632,59 +657,31 @@ let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
         ev
       with
       | ev ->
-        record step ev;
-        let meta =
-          { m_step = step; m_skew = ev.Evaluator.skew;
-            m_clr = ev.Evaluator.clr; m_t_max = ev.Evaluator.t_max;
-            m_slew_waived = ev.Evaluator.slew_violations > 0;
-            m_cap_waived = not ev.Evaluator.cap_ok }
-        in
-        metas := !metas @ [ meta ];
-        (match checkpoint_dir with
-        | None -> ()
-        | Some dir ->
-          (* Structural invariants already passed above; the electrical
-             gate refuses to persist a state whose headline numbers are
-             not finite (a truncated march's [infinity] latency is not a
-             verified state). Slew/cap violations do not block — they
-             are recorded as waived in the stage meta. *)
-          if
-            Float.is_finite ev.Evaluator.skew
-            && Float.is_finite ev.Evaluator.clr
-            && Float.is_finite ev.Evaluator.t_max
-          then (
-            try
-              Checkpoint.save ~dir ~step ~tree:!tree ~buf:chosen_buf
-                ~polarity ~repair ~metas:!metas
-            with e ->
-              (* An unwritable checkpoint must not fail (or retry) an
-                 otherwise successful stage — the run just loses this
-                 resume point. *)
-              incident step k (Printexc.to_string e) "checkpoint-skipped")
-          else
-            incident step k "non-finite skew/CLR/latency"
-              "checkpoint-skipped");
+        record d ~session:(fst !main) step ev;
+        Option.iter
+          (fun dir ->
+            checkpoint d ~dir ~step ~attempt:k ~tree:!tree ~buf:chosen_buf
+              ~polarity ~repair ev)
+          checkpoint_dir;
         if k > 0 then begin
           (* Recovered in degraded mode: restore the caller's
              configuration for the remaining stages and force the next
              baseline to be re-evaluated under it. *)
-          rebuild ~degraded:0;
+          main := rebuild ~degraded:0;
           if rank step >= rank Tbsz then install_spec ();
           baseline := None
         end;
         ev
-      | exception Ivc.Deadline_exceeded ->
-        incident step k "deadline exceeded" "deadline";
-        raise Ivc.Deadline_exceeded
+      | exception Ivc.Deadline_exceeded -> deadline d step k
       | exception e when k < max_retries ->
-        incident step k (Printexc.to_string e) "retry-degraded";
+        incident d step k (Printexc.to_string e) "retry-degraded";
         tree := entry_snapshot;
-        rebuild ~degraded:(k + 1);
+        main := rebuild ~degraded:(k + 1);
         if rank step > rank Tbsz then install_spec ();
         baseline := None;
         attempt (k + 1)
       | exception e ->
-        incident step k (Printexc.to_string e) "gave-up";
+        incident d step k (Printexc.to_string e) "gave-up";
         raise e
     in
     attempt 0
@@ -787,18 +784,8 @@ let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
           baseline := Some ev;
           ev)
   in
-  {
-    tree = !tree;
-    trace = List.rev !trace;
-    final = final_eval;
-    chosen_buf;
-    polarity;
-    repair;
-    incidents = List.rev !incidents;
-    eval_runs = Evaluator.eval_count () - runs0;
-    seconds = Monoclock.now () -. t0;
-    surrogate = Option.map Analysis.Surrogate.stats surrogate_state;
-  }
+  finish d ~tree:!tree ~final:final_eval ~chosen_buf ~polarity ~repair
+    ~surrogate:(Option.map Analysis.Surrogate.stats surrogate_state)
 
 (* ------------------------------------------------------------------ *)
 (* Regional synthesis: partition the sinks geometrically, run the full
@@ -852,15 +839,7 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
           ~source ~obstacles sinks;
       r_stitch = None }
   else begin
-    let t0 = Monoclock.now () in
-    let runs0 = Evaluator.eval_count () in
-    let kc0 = Analysis.Transient.counters () in
-    let evaluate_plain t =
-      Evaluator.evaluate ~engine:config.Config.engine ~flat:config.Config.flat
-        ~seg_len:config.Config.seg_len
-        ~transient_step:config.Config.transient_step
-        ~transient_mode:config.Config.transient_mode t
-    in
+    let d = driver ?on_step ?on_incident () in
     (* Fast resume: a verified POLISH checkpoint is the completed regional
        flow. Region membership is not recoverable from the stitched tree,
        so the per-region telemetry is gone, but the tree, metadata and
@@ -878,39 +857,17 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
     in
     match polish_ckpt with
     | Some l ->
-      let ev = evaluate_plain l.Checkpoint.ck_tree in
-      let now = Monoclock.now () in
-      let trace =
-        List.map
-          (fun m ->
-            { step = m.m_step; skew = m.m_skew; clr = m.m_clr;
-              t_max = m.m_t_max;
-              eval_runs = Evaluator.eval_count () - runs0;
-              seconds = now -. t0; cache_hits = 0; cache_misses = 0;
-              step_seconds = 0.; kernel_solves = 0; kernel_saved = 0;
-              kernel_truncations = 0; attempts = 0; accepts = 0 })
-          l.Checkpoint.ck_metas
+      let ev =
+        Evaluator.Incremental.refresh (new_session config l.Checkpoint.ck_tree)
       in
-      List.iter (fun e -> match on_step with Some f -> f e | None -> ()) trace;
+      replay d l.Checkpoint.ck_metas;
       { r_flow =
-          { tree = l.Checkpoint.ck_tree; trace; final = ev;
-            chosen_buf = l.Checkpoint.ck_buf;
-            polarity = l.Checkpoint.ck_polarity;
-            repair = l.Checkpoint.ck_repair; incidents = [];
-            eval_runs = Evaluator.eval_count () - runs0;
-            seconds = Monoclock.now () -. t0; surrogate = None };
+          finish d ~tree:l.Checkpoint.ck_tree ~final:ev
+            ~chosen_buf:l.Checkpoint.ck_buf
+            ~polarity:l.Checkpoint.ck_polarity
+            ~repair:l.Checkpoint.ck_repair ~surrogate:None;
         r_stitch = None }
     | None ->
-      let incidents = ref [] in
-      let note_incident inc =
-        incidents := inc :: !incidents;
-        match on_incident with Some f -> f inc | None -> ()
-      in
-      let incident step attempt error action =
-        note_incident
-          { inc_step = step; inc_attempt = attempt; inc_error = error;
-            inc_action = action }
-      in
       let parts = Partition.split ~regions sinks in
       let regions = Array.length parts in
       let centroids = Array.map (Partition.centroid sinks) parts in
@@ -918,12 +875,13 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
          region count says, each under its own checkpoint subdirectory. *)
       let sub_config = { config with Config.regions = 1 } in
       let sub_dir name =
-        Option.map (fun d -> Filename.concat d name) checkpoint_dir
+        Option.map (fun dir -> Filename.concat dir name) checkpoint_dir
       in
       (* Heaviest region first, so the pool never tail-waits on the big
          one. Incidents are collected per region and forwarded serially
-         afterwards — [on_incident] is not required to be thread-safe. *)
-      let region_runs =
+         afterwards — [on_incident] is not required to be thread-safe —
+         also when a region failed, before its failure propagates. *)
+      let outcomes =
         let pool = Analysis.Domain_pool.create ?size:jobs () in
         Fun.protect
           ~finally:(fun () -> Analysis.Domain_pool.shutdown pool)
@@ -934,18 +892,27 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
                 let region_sinks = Array.map (Array.get sinks) parts.(i) in
                 let incs = ref [] in
                 let r =
-                  run ~config:sub_config
-                    ~on_incident:(fun inc -> incs := inc :: !incs)
-                    ?checkpoint_dir:(sub_dir (Printf.sprintf "region_%d" i))
-                    ~resume ~tech ~source:centroids.(i) ~obstacles
-                    region_sinks
+                  match
+                    run ~config:sub_config
+                      ~on_incident:(fun inc -> incs := inc :: !incs)
+                      ?checkpoint_dir:(sub_dir (Printf.sprintf "region_%d" i))
+                      ~resume ~tech ~source:centroids.(i) ~obstacles
+                      region_sinks
+                  with
+                  | r -> Ok r
+                  | exception e -> Error (e, Printexc.get_raw_backtrace ())
                 in
                 (r, List.rev !incs))
               (Array.init regions Fun.id))
       in
-      Array.iter
-        (fun ((_ : result), incs) -> List.iter note_incident incs)
-        region_runs;
+      Array.iter (fun (_, incs) -> List.iter (add_incident d) incs) outcomes;
+      let region_runs =
+        Array.map
+          (function
+            | Ok r, incs -> (r, incs)
+            | Error (e, bt), _ -> Printexc.raise_with_backtrace e bt)
+          outcomes
+      in
       (* The stitching top tree: one pseudo-sink per region at the region
          centroid, loaded with the regional root buffer's input pin and
          carrying its inversion parity, so sink parities survive the
@@ -960,15 +927,9 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
           region_runs
       in
       let top =
-        let incs = ref [] in
-        let r =
-          run ~config:sub_config
-            ~on_incident:(fun inc -> incs := inc :: !incs)
-            ?checkpoint_dir:(sub_dir "top") ~resume ~tech ~source ~obstacles
-            pseudo_sinks
-        in
-        List.iter note_incident !incs;
-        r
+        run ~config:sub_config ~on_incident:(add_incident d)
+          ?checkpoint_dir:(sub_dir "top") ~resume ~tech ~source ~obstacles
+          pseudo_sinks
       in
       let stitched = top.tree in
       let taps =
@@ -1033,71 +994,17 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
          initial tree: parity-preserving inverter-pair insertion. *)
       if config.Config.stage_balancing then
         ignore (Stage_balance.equalize stitched ~buf:top.chosen_buf);
-      let session =
-        if config.Config.incremental then
-          Some
-            (Evaluator.Incremental.create ~engine:config.Config.engine
-               ~flat:config.Config.flat ~seg_len:config.Config.seg_len
-               ~transient_step:config.Config.transient_step
-               ~transient_mode:config.Config.transient_mode stitched)
-        else None
-      in
-      let eval_full ?edits () =
-        match session with
-        | Some s -> Evaluator.Incremental.refresh ?edits s
-        | None -> evaluate_plain stitched
-      in
+      let session = new_session config stitched in
       let check_deadline step =
-        match config.Config.deadline with
-        | Some d when Monoclock.now () > d ->
-          incident step 0 "deadline exceeded" "deadline";
-          raise Ivc.Deadline_exceeded
-        | Some _ | None -> ()
-      in
-      let trace = ref [] in
-      let last_t = ref t0 in
-      let last_kc = ref kc0 in
-      let last_hits = ref 0 and last_misses = ref 0 in
-      let record step (ev : Evaluator.t) ~attempts ~accepts =
-        let now = Monoclock.now () in
-        let hits, misses =
-          match session with
-          | Some s ->
-            let st = Evaluator.Incremental.stats s in
-            (st.Evaluator.hits, st.Evaluator.misses)
-          | None -> (0, 0)
-        in
-        let kc = Analysis.Transient.counters () in
-        let entry =
-          { step; skew = ev.Evaluator.skew; clr = ev.Evaluator.clr;
-            t_max = ev.Evaluator.t_max;
-            eval_runs = Evaluator.eval_count () - runs0;
-            seconds = now -. t0;
-            cache_hits = hits - !last_hits;
-            cache_misses = misses - !last_misses;
-            step_seconds = now -. !last_t;
-            kernel_solves =
-              kc.Analysis.Transient.total_solves
-              - !last_kc.Analysis.Transient.total_solves;
-            kernel_saved =
-              kc.Analysis.Transient.total_saved
-              - !last_kc.Analysis.Transient.total_saved;
-            kernel_truncations =
-              kc.Analysis.Transient.total_truncations
-              - !last_kc.Analysis.Transient.total_truncations;
-            attempts; accepts }
-        in
-        trace := entry :: !trace;
-        last_t := now;
-        last_hits := hits;
-        last_misses := misses;
-        last_kc := kc;
-        match on_step with Some f -> f entry | None -> ()
+        try Ivc.check_deadline config
+        with Ivc.Deadline_exceeded -> deadline d step 0
       in
       check_deadline Stitch;
-      let stitched_ev = eval_full () in
-      record Stitch stitched_ev ~attempts:0 ~accepts:0;
-      let att0 = Ivc.attempts () and acc0 = Ivc.accepts () in
+      let stitched_ev = Evaluator.Incremental.refresh session in
+      (* The region flows report their IVC work in their own traces. *)
+      d.d_last_att <- Ivc.attempts ();
+      d.d_last_acc <- Ivc.accepts ();
+      record d ~session Stitch stitched_ev;
       (* Global polish: per round, measure every region's nominal latency
          window on the stitched tree, snake the tap feed of each lagging
          region towards the slowest one (damped), refresh through the
@@ -1164,9 +1071,9 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
           let base_rev = Tree.Journal.base_revision j in
           let post_rev = Tree.revision stitched in
           let ev =
-            eval_full
+            Evaluator.Incremental.refresh
               ~edits:{ Evaluator.base_revision = base_rev; nodes = touched }
-              ()
+              session
           in
           if
             ev.Evaluator.skew < !best.Evaluator.skew -. 1e-9
@@ -1179,13 +1086,9 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
           end
           else begin
             Tree.Journal.rollback j;
-            (match session with
-            | Some s ->
-              Evaluator.Incremental.note_edits s
-                ~edits:
-                  (Some { Evaluator.base_revision = post_rev; nodes = touched })
-                ~new_revision:(Tree.revision stitched)
-            | None -> ());
+            Evaluator.Incremental.note_edits session
+              ~edits:(Some { Evaluator.base_revision = post_rev; nodes = touched })
+              ~new_revision:(Tree.revision stitched);
             damping := !damping /. 2.;
             if !damping < 0.05 then continue_ := false
           end
@@ -1199,24 +1102,15 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
          headroom and RSlack budgets, through the same incremental
          session. *)
       if !best.Evaluator.skew > config.Config.stitch_skew_ps then begin
-        let hooks =
-          match session with
-          | Some s -> session_hooks s
-          | None -> plain_hooks config
-        in
         let polish_cfg =
-          { config with Config.regions = 1; evaluator = Some hooks;
-            spec = None }
+          { config with Config.regions = 1;
+            evaluator = Some (session_hooks session); spec = None }
         in
         match Wiresnaking.run polish_cfg stitched ~baseline:!best with
-        | exception Ivc.Deadline_exceeded ->
-          incident Polish 0 "deadline exceeded" "deadline";
-          raise Ivc.Deadline_exceeded
+        | exception Ivc.Deadline_exceeded -> deadline d Polish 0
         | wsn -> best := wsn.Wiresnaking.eval
       end;
-      record Polish !best
-        ~attempts:(!rounds + Ivc.attempts () - att0)
-        ~accepts:(!accepts + Ivc.accepts () - acc0);
+      record d ~session ~extra:(!rounds, !accepts) Polish !best;
       let polarity =
         Array.fold_left
           (fun acc ((r : result), _) ->
@@ -1226,28 +1120,11 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
               added = acc.Polarity.added + r.polarity.Polarity.added })
           top.polarity region_runs
       in
-      let meta_of step (ev : Evaluator.t) =
-        { m_step = step; m_skew = ev.Evaluator.skew; m_clr = ev.Evaluator.clr;
-          m_t_max = ev.Evaluator.t_max;
-          m_slew_waived = ev.Evaluator.slew_violations > 0;
-          m_cap_waived = not ev.Evaluator.cap_ok }
-      in
-      (match checkpoint_dir with
-      | None -> ()
-      | Some dir ->
-        if
-          Float.is_finite !best.Evaluator.skew
-          && Float.is_finite !best.Evaluator.clr
-          && Float.is_finite !best.Evaluator.t_max
-        then (
-          try
-            Checkpoint.save ~dir ~step:Polish ~tree:stitched
-              ~buf:top.chosen_buf ~polarity ~repair:top.repair
-              ~metas:[ meta_of Stitch stitched_ev; meta_of Polish !best ]
-          with e ->
-            incident Polish 0 (Printexc.to_string e) "checkpoint-skipped")
-        else
-          incident Polish 0 "non-finite skew/CLR/latency" "checkpoint-skipped");
+      Option.iter
+        (fun dir ->
+          checkpoint d ~dir ~step:Polish ~attempt:0 ~tree:stitched
+            ~buf:top.chosen_buf ~polarity ~repair:top.repair !best)
+        checkpoint_dir;
       let st_regions =
         Array.to_list
           (Array.mapi
@@ -1261,11 +1138,8 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
              region_runs)
       in
       { r_flow =
-          { tree = stitched; trace = List.rev !trace; final = !best;
-            chosen_buf = top.chosen_buf; polarity; repair = top.repair;
-            incidents = List.rev !incidents;
-            eval_runs = Evaluator.eval_count () - runs0;
-            seconds = Monoclock.now () -. t0; surrogate = None };
+          finish d ~tree:stitched ~final:!best ~chosen_buf:top.chosen_buf
+            ~polarity ~repair:top.repair ~surrogate:None;
         r_stitch =
           Some
             { st_regions;

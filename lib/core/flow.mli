@@ -13,8 +13,8 @@
     a {!Analysis.Numerics.Numerical_failure} or a structural invariant
     violation, the tree is rolled back to the stage entry state and the
     stage re-runs in degraded mode (serial speculation and the fixed-rate
-    transient reference march, then additionally a halved timestep with
-    plain from-scratch evaluations), up to {!Config.t.max_stage_retries}
+    transient reference march, then additionally a halved timestep on a
+    fresh session without the shared store), up to {!Config.t.max_stage_retries}
     times. Completed stages can be persisted as verified checkpoints and
     resumed after a crash. *)
 
@@ -37,8 +37,8 @@ type trace_entry = {
   eval_runs : int;  (** cumulative evaluation ("SPICE") runs so far *)
   seconds : float;  (** cumulative wall-clock seconds *)
   cache_hits : int;
-      (** incremental-session stage-cache hits during this step alone (0
-          when [config.incremental] is false) — like every other counter
+      (** incremental-session stage-cache hits during this step alone —
+          like every other counter
           below, a per-step delta, so streamed telemetry lines sum to the
           session totals *)
   cache_misses : int;
@@ -59,7 +59,7 @@ type trace_entry = {
   attempts : int;
       (** IVC candidate attempts during this step (see {!Ivc.attempts});
           speculative ladder rungs count individually, so the value is
-          identical at every speculation width [>= 0] *)
+          identical at every speculation width *)
   accepts : int;  (** accepted candidates during this step *)
 }
 
@@ -244,8 +244,12 @@ type regional_result = {
     from their own latest checkpoints and the stitch/polish re-runs.
 
     [on_step] receives the [Stitch] and [Polish] trace entries;
-    [on_incident] receives region and top incidents (forwarded serially
-    after each flow finishes) and stitch-phase incidents as they occur. *)
+    [on_incident] receives region incidents (forwarded serially once the
+    region flows finish, also when one of them failed), then top-flow and
+    stitch-phase incidents as they occur.
+
+    @raise Ivc.Deadline_exceeded once [config.deadline] has passed
+    (recorded as a ["deadline"] incident first). *)
 val run_regional :
   ?config:Config.t -> ?on_step:(trace_entry -> unit) ->
   ?on_incident:(incident -> unit) -> ?checkpoint_dir:string ->

@@ -83,7 +83,7 @@ val explore : t -> (Tree.t -> unit) array -> outcome option array
     Order candidates by preference (the IVC scale ladder puts the
     largest scale first). The winner is a pure function of candidate
     order, identical at every width; serial mode evaluates lazily and
-    stops at the winner (the legacy serial loop's schedule), parallel
+    stops at the winner (the try/halve/retry schedule), parallel
     mode evaluates [width]-sized batches eagerly and discards the
     precomputed losers. A context whose domain pool has no workers (a
     single-core machine) falls back to the lazy scan — eager batches

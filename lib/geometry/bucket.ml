@@ -2,11 +2,18 @@ type t = {
   cell : int;
   cells : (int * int, (int, Point.t) Hashtbl.t) Hashtbl.t;
   ids : (int, Point.t) Hashtbl.t;
+  (* Bounding box, in cell coordinates, of every cell ever occupied
+     (removals do not shrink it). *)
+  mutable lo_x : int;
+  mutable hi_x : int;
+  mutable lo_y : int;
+  mutable hi_y : int;
 }
 
 let create ~cell =
   if cell <= 0 then invalid_arg "Bucket.create: cell must be positive";
-  { cell; cells = Hashtbl.create 256; ids = Hashtbl.create 256 }
+  { cell; cells = Hashtbl.create 256; ids = Hashtbl.create 256;
+    lo_x = max_int; hi_x = min_int; lo_y = max_int; hi_y = min_int }
 
 let key t (p : Point.t) =
   let q v = if v >= 0 then v / t.cell else ((v + 1) / t.cell) - 1 in
@@ -17,6 +24,11 @@ let add t id p =
     invalid_arg (Printf.sprintf "Bucket.add: duplicate id %d" id);
   Hashtbl.replace t.ids id p;
   let k = key t p in
+  let kx, ky = k in
+  t.lo_x <- min t.lo_x kx;
+  t.hi_x <- max t.hi_x kx;
+  t.lo_y <- min t.lo_y ky;
+  t.hi_y <- max t.hi_y ky;
   let bucket =
     match Hashtbl.find_opt t.cells k with
     | Some b -> b
@@ -74,24 +86,19 @@ let nearest t ?(exclude = fun _ -> false) p =
     in
     (* Expanding ring search. A point in a cell at Chebyshev ring r is at
        Manhattan distance at least (r-1)*cell+1 from p, so once the best
-       found distance is below that bound no farther ring can win. *)
-    let r = ref 0 in
-    let continue = ref true in
-    while !continue do
-      scan_ring !r;
-      (match !best with
-      | Some (bd, _, _) when bd <= !r * t.cell -> continue := false
-      | _ -> ());
-      (* Safety stop: beyond the populated area nothing more can appear. *)
-      if !r > 4 + (Hashtbl.length t.cells * 2) && !best <> None then continue := false
-      else if !r > 4 + (Hashtbl.length t.cells * 2) && Hashtbl.length t.ids > 0 && !best = None
-      then begin
-        (* Sparse fallback: direct scan (can only happen for far-away
-           queries relative to the populated region). *)
-        Hashtbl.iter consider t.ids;
-        continue := false
-      end;
-      incr r
-    done;
+       found distance is at most r*cell no farther ring can win. Rings
+       beyond the occupied extent hold nothing, which ends a query whose
+       points are all excluded. *)
+    let extent =
+      max (max (abs (cx - t.lo_x)) (abs (cx - t.hi_x)))
+        (max (abs (cy - t.lo_y)) (abs (cy - t.hi_y)))
+    in
+    let rec search r =
+      scan_ring r;
+      match !best with
+      | Some (bd, _, _) when bd <= r * t.cell -> ()
+      | Some _ | None -> if r < extent then search (r + 1)
+    in
+    search 0;
     match !best with Some (_, id, q) -> Some (id, q) | None -> None
   end

@@ -341,7 +341,7 @@ let test_montecarlo_wire_sigma () =
   check_bool "wire-only spread" true (r.Analysis.Montecarlo.std_skew > 0.)
 
 let () =
-  let q = QCheck_alcotest.to_alcotest in
+  let q = Qseed.to_alcotest in
   Alcotest.run "analysis"
     [
       ("engines-lumped",

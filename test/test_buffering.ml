@@ -153,7 +153,7 @@ let buffer_count_qcheck =
       count 250. >= count 800.)
 
 let () =
-  let q = QCheck_alcotest.to_alcotest in
+  let q = Qseed.to_alcotest in
   Alcotest.run "buffering"
     [
       ("van-ginneken",

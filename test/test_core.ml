@@ -614,7 +614,7 @@ let flow_qcheck =
       && Array.length (Ctree.Tree.sinks r.Core.Flow.tree) = n)
 
 let () =
-  let q = QCheck_alcotest.to_alcotest in
+  let q = Qseed.to_alcotest in
   Alcotest.run "core"
     [
       ("slack",

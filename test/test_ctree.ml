@@ -278,7 +278,7 @@ let tree_qcheck =
       && (Ctree.Stats.compute t).Ctree.Stats.wirelength = before)
 
 let () =
-  let q = QCheck_alcotest.to_alcotest in
+  let q = Qseed.to_alcotest in
   Alcotest.run "ctree"
     [
       ("tree",

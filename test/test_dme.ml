@@ -231,7 +231,7 @@ let zst_wirelength_qcheck =
       && stats.Ctree.Stats.wirelength < span * n)
 
 let () =
-  let q = QCheck_alcotest.to_alcotest in
+  let q = Qseed.to_alcotest in
   Alcotest.run "dme"
     [
       ("topology",

@@ -352,6 +352,22 @@ let test_bucket_basic () =
   check_int "size after remove" 2 (Bucket.size b);
   check_bool "mem" false (Bucket.mem b 3)
 
+(* Sparse layout: the true nearest point sits ten rings out, beyond any
+   bound derived from the number of occupied cells. *)
+let test_bucket_sparse () =
+  let b = Bucket.create ~cell:64 in
+  Bucket.add b 0 (Point.make 585 0);
+  Bucket.add b 1 (Point.make 960 376);
+  let query = Point.make 321 456 in
+  (match Bucket.nearest b query with
+  | Some (id, p) ->
+    check_int "nearest id" 1 id;
+    check_int "nearest distance" 719 (Point.dist query p)
+  | None -> Alcotest.fail "nearest must exist");
+  (* Every point excluded: the search ends at the occupied extent. *)
+  check_bool "all excluded" true
+    (Bucket.nearest b ~exclude:(fun _ -> true) query = None)
+
 let bucket_qcheck =
   QCheck.Test.make ~name:"bucket: nearest matches brute force" ~count:100
     QCheck.(list_of_size (Gen.int_range 1 40) (pair (int_range 0 1000) (int_range 0 1000)))
@@ -370,7 +386,7 @@ let bucket_qcheck =
         Point.dist query found = best)
 
 let () =
-  let q = QCheck_alcotest.to_alcotest in
+  let q = Qseed.to_alcotest in
   Alcotest.run "geometry"
     [
       ("listx",
@@ -420,5 +436,7 @@ let () =
          Alcotest.test_case "escape" `Quick test_route_escape;
          q grid_qcheck ]);
       ("bucket",
-       [ Alcotest.test_case "basic" `Quick test_bucket_basic; q bucket_qcheck ]);
+       [ Alcotest.test_case "basic" `Quick test_bucket_basic;
+         Alcotest.test_case "sparse counterexample" `Quick test_bucket_sparse;
+         q bucket_qcheck ]);
     ]

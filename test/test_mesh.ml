@@ -231,7 +231,7 @@ let network_qcheck =
       t50 (float_of_int (100 + extra)) >= t50 100. -. 0.5)
 
 let () =
-  let q = QCheck_alcotest.to_alcotest in
+  let q = Qseed.to_alcotest in
   Alcotest.run "mesh"
     [
       ("network",

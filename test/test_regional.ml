@@ -219,6 +219,56 @@ let test_regional_resume () =
   check_bool "re-derived digest identical" true
     (Tree.digest c.Flow.r_flow.Flow.tree = Tree.digest a.Flow.r_flow.Flow.tree)
 
+(* ---------- shared stage driver: checkpoint and deadline incidents ---------- *)
+
+let has_action action incs =
+  List.exists (fun i -> i.Flow.inc_action = action) incs
+
+(* A checkpoint directory below a regular file cannot be created, even
+   by root: every save fails, and both entry points must still complete,
+   reporting the lost resume points as incidents. *)
+let test_unwritable_checkpoints () =
+  let blocker = Filename.temp_file "contango_blocker" "" in
+  let dir = Filename.concat blocker "ckpt" in
+  let sinks = random_sinks 313 60 2_500_000 in
+  let mono = Flow.run ~config ~checkpoint_dir:dir ~tech ~source sinks in
+  check_bool "run reports checkpoint-skipped" true
+    (has_action "checkpoint-skipped" mono.Flow.incidents);
+  check_int "run completes every step" 5 (List.length mono.Flow.trace);
+  let cfg = { config with Core.Config.regions = 2 } in
+  let seen = ref [] in
+  let reg =
+    Flow.run_regional ~config:cfg ~checkpoint_dir:dir
+      ~on_incident:(fun i -> seen := i :: !seen)
+      ~tech ~source sinks
+  in
+  let incs = reg.Flow.r_flow.Flow.incidents in
+  check_bool "regional run stitched" true (reg.Flow.r_stitch <> None);
+  check_bool "POLISH checkpoint skipped" true
+    (List.exists
+       (fun i ->
+         i.Flow.inc_step = Flow.Polish
+         && i.Flow.inc_action = "checkpoint-skipped")
+       incs);
+  check_int "every incident streamed" (List.length incs) (List.length !seen);
+  Sys.remove blocker
+
+let test_regional_deadline () =
+  let sinks = random_sinks 717 60 2_500_000 in
+  let cfg =
+    { config with
+      Core.Config.regions = 2;
+      deadline = Some (Core.Monoclock.now () -. 1.) }
+  in
+  let seen = ref [] in
+  match
+    Flow.run_regional ~config:cfg ~on_incident:(fun i -> seen := i :: !seen)
+      ~tech ~source sinks
+  with
+  | _ -> Alcotest.fail "a run past its deadline completed"
+  | exception Core.Ivc.Deadline_exceeded ->
+    check_bool "deadline incident emitted" true (has_action "deadline" !seen)
+
 let () =
   Alcotest.run "regional"
     [
@@ -239,4 +289,10 @@ let () =
        ]);
       ("resume",
        [ Alcotest.test_case "polish fast-path" `Slow test_regional_resume ]);
+      ("driver",
+       [
+         Alcotest.test_case "unwritable checkpoint dir" `Quick
+           test_unwritable_checkpoints;
+         Alcotest.test_case "deadline incident" `Quick test_regional_deadline;
+       ]);
     ]

@@ -234,7 +234,7 @@ let repair_qcheck =
       && Array.length (Tree.sinks repaired) = 25)
 
 let () =
-  let q = QCheck_alcotest.to_alcotest in
+  let q = Qseed.to_alcotest in
   Alcotest.run "route"
     [
       ("slewcap",

@@ -265,7 +265,7 @@ let test_paper_constants () =
   check_int "fnb1 added" 2 (snd fnb1)
 
 let () =
-  let q = QCheck_alcotest.to_alcotest in
+  let q = Qseed.to_alcotest in
   Alcotest.run "suite"
     [
       ("rng",

@@ -141,7 +141,7 @@ let test_tech_bundle () =
   check_f "cap limit set" 5000. t2.Tech.cap_limit
 
 let () =
-  let q = QCheck_alcotest.to_alcotest in
+  let q = Qseed.to_alcotest in
   Alcotest.run "tech"
     [
       ("units", [ Alcotest.test_case "conversions" `Quick test_units ]);
