@@ -519,7 +519,9 @@ module Incremental = struct
     (* Per-slot kernel state: workspaces are mutable scratch and the
        factorisation cache fills lazily (the adaptive kernel factors its
        coarse rates on first use), so each domain-parallel pass owns its
-       own pair — no locks, no races, scheduling-independent results. *)
+       own pair. The caches read through the session's lock-striped
+       {!Transient.Fstore}; a factorisation is a pure function of its
+       key, so which slot factors it first never changes a result. *)
     s_fcache : Transient.Fcache.t;
     s_ffcache : Transient.Flat.Fcache.t;
     s_ws : Transient.workspace;
@@ -537,6 +539,9 @@ module Incremental = struct
     (* Shared cross-session store this session reads through (and
        publishes to), or [None] for a self-contained session. *)
     store : Store.handle option;
+    (* The slots' shared factorisation table: the store's when there is
+       one, else session-local. *)
+    fstore : Transient.Fstore.t;
     mutable tree : Tree.t;
     slots : slot array;
     (* Flat-engine state: the arena snapshot and the stage pool the
@@ -587,11 +592,18 @@ module Incremental = struct
        never touch it, so the knob quietly means "boxed" for them. *)
     let flat = flat && engine = Spice in
     let corners = (Tree.tech tree).Tech.corners in
-    (* Per-slot factorisation caches read through the store's shared
-       factorisation table, so a repeat request re-solves its stages
-       without re-factoring them even when the result store has turned
-       the entries over. *)
-    let fstore = Option.map (fun h -> Store.fstore (Store.of_handle h)) store in
+    (* Per-slot factorisation caches read through one shared
+       factorisation table. The factor excludes the driver conductance,
+       so every corner × transition slot that meets a stage at a step
+       can use the same one: without a store the table is
+       session-local; with one it is the store's, so a repeat request
+       re-solves its stages without re-factoring them even when the
+       result store has turned the entries over. *)
+    let fstore =
+      match store with
+      | Some h -> Store.fstore (Store.of_handle h)
+      | None -> Transient.Fstore.create ()
+    in
     let slots =
       Array.of_list
         (List.concat_map
@@ -600,14 +612,15 @@ module Incremental = struct
                (fun tr ->
                  { s_corner = corner; s_transition = tr;
                    cache = Hashtbl.create 1024;
-                   s_fcache = Transient.Fcache.create ?store:fstore ();
+                   s_fcache = Transient.Fcache.create ~store:fstore ();
                    s_ffcache = Transient.Flat.Fcache.create ();
                    s_ws = Transient.workspace (); hits = 0; misses = 0 })
                [ Rise; Fall ])
            corners)
     in
     { engine; flat; seg_len; parallel; tstep = transient_step;
-      tmode = transient_mode; store; tree; slots; f_arena = None; f_pool = None;
+      tmode = transient_mode; store; fstore; tree; slots; f_arena = None;
+      f_pool = None;
       f_scratch = Transient.workspace (); f_ws = [||];
       probe_fcache = Transient.Fcache.create ();
       probe_ws = Transient.workspace (); last = None; last_revision = -1;
@@ -1087,6 +1100,8 @@ module Incremental = struct
         s.misses <- 0)
       session.slots;
     Transient.Fcache.clear session.probe_fcache;
+    (* A store's table belongs to the store; a session-local one goes. *)
+    if Option.is_none session.store then Transient.Fstore.clear session.fstore;
     session.last <- None;
     session.last_revision <- -1;
     session.anchor_rev <- -1;

@@ -180,11 +180,19 @@ module Incremental : sig
       spawning a closure per stage. Results agree with the boxed
       session's to sub-femtosecond (~1e-6 ps at 100K-node stages).
 
+      The per-slot factorisation caches read through one
+      {!Transient.Fstore}, so the corner × transition slots share each
+      (stage, step) factorisation instead of each factoring it again (a
+      factorisation excludes the driver and is a pure function of its
+      key, so sharing never changes a result). Without [store] that
+      table is session-local.
+
       [store] attaches a shared {!Store} handle: slot-cache misses
       consult the shared table before running an engine, computed
-      results are published back, and the per-slot factorisation caches
-      read through the store's shared {!Transient.Fstore}. See the
-      {!Store} caveat on numerically-identical configs. *)
+      results are published back, and the slots' factorisation caches
+      read through the store's shared {!Transient.Fstore} instead of a
+      session-local one. See the {!Store} caveat on numerically-identical
+      configs. *)
   val create :
     ?engine:engine -> ?flat:bool -> ?seg_len:int -> ?parallel:bool ->
     ?transient_step:float -> ?transient_mode:Transient.mode ->

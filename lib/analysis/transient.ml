@@ -84,21 +84,60 @@ let factor ?(step = default_step) (rc : Rcnet.t) =
 
 (* One implicit step from state [vin] to state [vout] (they may alias):
    source voltage vs at t+h, driver conductance g0 = 1/r_drv. [vin] is
-   only read by the forward sweep, so in-place stepping is safe. *)
+   only read by the forward sweep, so in-place stepping is safe.
+
+   The three sweeps read and write without bounds checks. Callers pay
+   for that once per march instead ([check_stage], [check_factored]):
+   [rc.parent] and every factored array hold at least [rc.size] entries,
+   [0 <= parent.(i) < i], and [r]/[vin]/[vout] are workspace or probe
+   buffers of at least [rc.size] entries. The arithmetic and its order
+   are those of the checked sweeps, so results are bit-identical to
+   them. *)
 let step_solve (rc : Rcnet.t) f ~g0 ~vs ~vin ~vout ~r =
   let n = rc.size in
+  let parent = rc.parent in
+  let c_over_h = f.c_over_h and g = f.g and dfact = f.dfact in
   for i = 0 to n - 1 do
-    r.(i) <- f.c_over_h.(i) *. vin.(i)
+    Array.unsafe_set r i
+      (Array.unsafe_get c_over_h i *. Array.unsafe_get vin i)
   done;
   r.(0) <- r.(0) +. (g0 *. vs);
   for i = n - 1 downto 1 do
-    let p = rc.parent.(i) in
-    r.(p) <- r.(p) +. (f.g.(i) /. f.dfact.(i) *. r.(i))
+    let p = Array.unsafe_get parent i in
+    Array.unsafe_set r p
+      (Array.unsafe_get r p
+      +. (Array.unsafe_get g i /. Array.unsafe_get dfact i
+         *. Array.unsafe_get r i))
   done;
-  vout.(0) <- r.(0) /. (f.dfact.(0) +. g0);
+  vout.(0) <- r.(0) /. (dfact.(0) +. g0);
   for i = 1 to n - 1 do
-    vout.(i) <- (r.(i) +. (f.g.(i) *. vout.(rc.parent.(i)))) /. f.dfact.(i)
+    Array.unsafe_set vout i
+      ((Array.unsafe_get r i
+       +. (Array.unsafe_get g i
+          *. Array.unsafe_get vout (Array.unsafe_get parent i)))
+      /. Array.unsafe_get dfact i)
   done
+
+(* The once-per-march validation behind [step_solve]'s unchecked sweeps. *)
+let check_stage (rc : Rcnet.t) =
+  let n = rc.size in
+  if Array.length rc.parent < n || Array.length rc.res < n
+     || Array.length rc.cap < n
+  then invalid_arg "Transient: RC arrays shorter than the stage size";
+  for i = 1 to n - 1 do
+    let p = rc.parent.(i) in
+    if p < 0 || p >= i then
+      invalid_arg "Transient: RC parent indices not topological"
+  done
+
+(* A factorisation from another stage — a stale [~factored], or an
+   [Fcache] key collision between 64-bit fingerprints — must raise, not
+   read past the end of its arrays. *)
+let check_factored (rc : Rcnet.t) f =
+  let n = rc.size in
+  if Array.length f.g < n || Array.length f.dfact < n
+     || Array.length f.c_over_h < n
+  then invalid_arg "Transient: factorisation smaller than the stage"
 
 let ramp_voltage ~ramp t = if t <= 0. then 0. else if t >= ramp then 1. else t /. ramp
 
@@ -205,11 +244,12 @@ let clock_insert tbl ring ~cap key v =
   Hashtbl.add tbl key { cv = v; used = false };
   Queue.add key ring
 
-(* Process-wide factorisation store shared across independent caches
-   (and, in the serve daemon, across requests): a lock-striped bounded
-   table safe to touch from any domain. [factored] values are immutable
-   after {!factor} returns, so sharing them across domains is free of
-   data races; only the stripe tables need the locks. *)
+(* Factorisation store shared across independent caches (the slots of
+   an evaluator session and, in the serve daemon, requests): a
+   lock-striped bounded table safe to touch from any domain. [factored]
+   values are immutable after {!factor} returns, so sharing them across
+   domains is free of data races; only the stripe tables need the
+   locks. *)
 module Fstore = struct
   type stripe = {
     lock : Mutex.t;
@@ -628,14 +668,20 @@ let simulate ?(step = default_step) ?(mode = default_mode) ?factored ?fcache
     grow ws ~n ~w:(Array.length watch);
     let g0 = 1. /. r_drv in
     let ramp = s_drv /. 0.8 in
+    check_stage rc;
     let mult =
       resolve_mult mode rc ~r_drv ~watch ~step ~down:ws.va0 ~m:ws.vb0
     in
     let fine = get_factored ?factored ?fcache ?fp ~step rc in
+    check_factored rc fine;
     let rate stp =
-      match fcache with
-      | Some c -> Fcache.get c ?fp rc ~step:stp
-      | None -> factor ~step:stp rc
+      let f =
+        match fcache with
+        | Some c -> Fcache.get c ?fp rc ~step:stp
+        | None -> factor ~step:stp rc
+      in
+      check_factored rc f;
+      f
     in
     let r = ws.r in
     let solve f ~vs ~vin ~vout = step_solve rc f ~g0 ~vs ~vin ~vout ~r in
@@ -673,7 +719,9 @@ let solve ?step ?mode ?factored ?fcache ?fp ?ws (rc : Rcnet.t) ~r_drv ~s_drv =
 
 let probe ?(step = default_step) ?factored ?fcache ?fp ?ws (rc : Rcnet.t)
     ~r_drv ~s_drv ~node ~times =
+  check_stage rc;
   let f = get_factored ?factored ?fcache ?fp ~step rc in
+  check_factored rc f;
   let g0 = 1. /. r_drv in
   let n = rc.size in
   let v, r =

@@ -42,9 +42,10 @@ val workspace : unit -> workspace
     ad-hoc solves on one domain reuse the grown arrays across calls. *)
 val domain_workspace : unit -> workspace
 
-(** Process-wide factorisation store: a lock-striped bounded table of
+(** Shared factorisation store: a lock-striped bounded table of
     [(fingerprint, step) → factored] safe to use from any domain
-    concurrently — the cross-request sharing layer behind the serve
+    concurrently — what the corner × transition slots of an evaluator
+    session share, and the cross-request sharing layer behind the serve
     daemon ([factored] values are immutable once built, so handing the
     same factorisation to several domains is race-free). A per-domain
     {!Fcache} created with [?store] consults it on a local miss and
@@ -140,8 +141,15 @@ val reset_counters : unit -> unit
     arithmetically are accepted); coarse-rate factorisations are taken
     from [fcache] when given, recomputed otherwise. [max_steps] bounds
     the march in fine-step equivalents (default 2,000,000).
+
+    The per-step sweeps run without bounds checks; the march validates
+    their preconditions once before stepping.
     @raise Invalid_argument if the factorisation's timestep genuinely
-    disagrees with [step]. *)
+    disagrees with [step]; if [rc.parent], [rc.res] or [rc.cap] is
+    shorter than [rc.size], or some [rc.parent.(i)] (i ≥ 1) is outside
+    [0, i); or if a factorisation the march uses — [factored], or one
+    found in [fcache] (a fingerprint collision with a smaller stage) —
+    is smaller than [rc.size]. *)
 val simulate :
   ?step:float -> ?mode:mode -> ?factored:factored -> ?fcache:Fcache.t ->
   ?fp:int64 -> ?ws:workspace -> ?max_steps:int -> Rcnet.t ->
@@ -150,7 +158,8 @@ val simulate :
 
 (** Per-tap [(delay, slew)] in ps: delay from the driver ramp's 50 % point
     to the tap's 50 % crossing; slew is the 10–90 % interval. Indexed like
-    [rc.taps]. Taps whose march truncated are [(infinity, infinity)]. *)
+    [rc.taps]. Taps whose march truncated are [(infinity, infinity)].
+    @raise Invalid_argument as {!simulate}. *)
 val solve :
   ?step:float -> ?mode:mode -> ?factored:factored -> ?fcache:Fcache.t ->
   ?fp:int64 -> ?ws:workspace -> Rcnet.t -> r_drv:float -> s_drv:float ->
@@ -160,7 +169,9 @@ val solve :
     the given times, always at the fixed fine rate. Times may be in any
     order; probe times beyond the last simulated step return the final
     node voltage. Passing [factored]/[fcache] reuses factorisations like
-    {!solve}. *)
+    {!solve}.
+    @raise Invalid_argument on the stage and factorisation
+    preconditions of {!simulate}. *)
 val probe :
   ?step:float -> ?factored:factored -> ?fcache:Fcache.t -> ?fp:int64 ->
   ?ws:workspace -> Rcnet.t -> r_drv:float -> s_drv:float -> node:int ->

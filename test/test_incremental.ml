@@ -327,6 +327,71 @@ let test_second_pass_threshold () =
     (forced.Core.Flow.final.Ev.skew
      <= disabled.Core.Flow.final.Ev.skew +. 1e-9)
 
+(* ---------- slots share one factorisation table ---------- *)
+
+(* Exact equality, bit for bit: sharing a factorisation between slots
+   must not move a single result. *)
+let check_identical_eval label (a : Ev.t) (b : Ev.t) =
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  let ok =
+    same a.Ev.skew b.Ev.skew && same a.Ev.clr b.Ev.clr
+    && same a.Ev.t_min b.Ev.t_min && same a.Ev.t_max b.Ev.t_max
+    && a.Ev.slew_violations = b.Ev.slew_violations
+    && List.length a.Ev.runs = List.length b.Ev.runs
+    && List.for_all2
+         (fun (x : Ev.run) (y : Ev.run) ->
+           Ev.corner_equal x.Ev.corner y.Ev.corner
+           && x.Ev.transition = y.Ev.transition
+           && Array.length x.Ev.latency = Array.length y.Ev.latency
+           && Array.for_all2 same x.Ev.latency y.Ev.latency
+           && Array.for_all2 same x.Ev.slew y.Ev.slew)
+         a.Ev.runs b.Ev.runs
+  in
+  check_bool label true ok
+
+(* A storeless session's four corner × transition slots read through one
+   session-local factorisation table. Through a journaled edit sequence
+   it must stay bit-identical to from-scratch evaluation, to itself
+   under either schedule, and to a session whose slots share a Store's
+   table instead. *)
+let test_slots_share_factorisations () =
+  check_int "two corners" 2 (List.length tech.Tech.corners);
+  let tree = rich_tree () in
+  let transient_step = 0.25
+  and transient_mode = Analysis.Transient.default_mode in
+  let session ?store parallel =
+    Ev.Incremental.create ~engine:Ev.Spice ~parallel ~transient_step
+      ~transient_mode ?store tree
+  in
+  let par = session true and seq = session false in
+  let stored = session ~store:(Ev.Store.handle (Ev.Store.create ())) true in
+  let rng = Random.State.make [| 7 |] in
+  for i = 0 to 20 do
+    let hint =
+      if i = 0 then None
+      else begin
+        let j = Tree.Journal.start tree in
+        random_edit rng tree;
+        let hint = Core.Speculate.hint_of_journal j in
+        Tree.Journal.commit j;
+        hint
+      end
+    in
+    let fresh =
+      Ev.evaluate ~engine:Ev.Spice ~transient_step ~transient_mode tree
+    in
+    let p = Ev.Incremental.refresh ?edits:hint par in
+    check_identical_eval
+      (Printf.sprintf "edit %d: session = evaluate" i)
+      fresh p;
+    check_identical_eval (Printf.sprintf "edit %d: parallel = sequential" i) p
+      (Ev.Incremental.refresh ?edits:hint seq);
+    check_identical_eval (Printf.sprintf "edit %d: no store = store" i) p
+      (Ev.Incremental.refresh ?edits:hint stored)
+  done;
+  check_bool "dirty fast path exercised" true
+    ((Ev.Incremental.stats par).Ev.dirty_refreshes > 0)
+
 let () =
   Alcotest.run "incremental"
     [
@@ -340,6 +405,8 @@ let () =
             test_parallel_matches_sequential;
           Alcotest.test_case "fast-refresh memo" `Quick test_fast_refresh_memo;
           Alcotest.test_case "revision counter" `Quick test_revision_counter;
+          Alcotest.test_case "slots share factorisations" `Quick
+            test_slots_share_factorisations;
         ] );
       ( "engines",
         [ Alcotest.test_case "agreement" `Quick test_engines_agree_on_tree ] );
