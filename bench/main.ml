@@ -23,13 +23,6 @@ let eval_only = Sys.getenv_opt "CONTANGO_BENCH_EVAL" <> None
    pass_bench.json). *)
 let passes_only = Sys.getenv_opt "CONTANGO_BENCH_PASSES" <> None
 
-(* CONTANGO_BENCH_KERNEL=1: run only the flat-arena streaming kernel vs
-   boxed reference throughput benchmark (writes kernel_bench.json: a
-   flow-shaped ti:2000 row, the single-stage rows, and the largest
-   row's size, flat/boxed speedup and flat nodes/s at top level — the CI
-   throughput-regression guard). *)
-let kernel_only = Sys.getenv_opt "CONTANGO_BENCH_KERNEL" <> None
-
 (* CONTANGO_BENCH_REGION=1: run only the regional-vs-monolithic flow
    benchmark at ti:20000 (writes region_bench.json with a top-level
    speedup field — the CI regional-performance guard). *)
@@ -492,229 +485,6 @@ let evaluator_bench () =
   Printf.printf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
-(* Flat-arena streaming kernel (CONTANGO_BENCH_KERNEL=1)                *)
-(* ------------------------------------------------------------------ *)
-
-(* The flow's own stage shapes, which the single-stage rows of
-   [kernel_bench] (ZST stages at 3,500–6,000 nm segmentation) are not:
-   every stage of the ti:2000 initial tree (construction, buffering and
-   polarity under [Config.default]) at [Rcnet.default_seg_len], solved
-   in the default Auto mode with warm factorisation caches, as a
-   session solves them.
-   Each stage is driven as in the nominal rising pass: the source's
-   resistance and slew, or the buffer's pull-up resistance and the
-   evaluator's inverter ramp for that pass's input slew (the transition
-   flip at inverting buffers is ignored). *)
-let kernel_flow_row () =
-  let open Suite.Report.Json in
-  let module Tr = Analysis.Transient in
-  let module Rcnet = Analysis.Rcnet in
-  let nsinks = 2_000 and seg_len = Rcnet.default_seg_len in
-  let b = Suite.Gen_ti.generate nsinks in
-  let tech = b.Suite.Format_io.tech in
-  let tree, _, _, _ =
-    Core.Flow.initial_tree ~tech ~source:b.Suite.Format_io.source
-      b.Suite.Format_io.sinks
-  in
-  let stages = Array.of_list (Rcnet.stages ~seg_len tree) in
-  let fps = Array.map (fun st -> Rcnet.fingerprint st.Rcnet.rc) stages in
-  let pool = Analysis.Rcflat.compile ~seg_len (Ctree.Arena.compile tree) in
-  assert (Analysis.Rcflat.nstages pool = Array.length stages);
-  let rise = Ev.nominal_run (Ev.evaluate ~seg_len tree) Ev.Rise in
-  let drives =
-    Array.map
-      (fun st ->
-        let d = st.Rcnet.driver in
-        match (Ctree.Tree.node tree d).Ctree.Tree.kind with
-        | Ctree.Tree.Buffer buf ->
-          let ramp = Float.max 2.0 (0.15 *. rise.Ev.slew.(d)) in
-          (Tech.Composite.r_up buf, Float.round (ramp *. 4.) /. 4.)
-        | _ -> (tech.Tech.source_r, tech.Tech.source_slew))
-      stages
-  in
-  let ws = Tr.workspace () in
-  let bcache = Tr.Fcache.create () and fcache = Tr.Flat.Fcache.create () in
-  let boxed () =
-    Array.mapi
-      (fun si st ->
-        let r_drv, s_drv = drives.(si) in
-        Tr.solve ~fcache:bcache ~fp:fps.(si) ~ws st.Rcnet.rc ~r_drv ~s_drv)
-      stages
-  in
-  let flat () =
-    Array.mapi
-      (fun si (r_drv, s_drv) ->
-        Tr.Flat.solve ~fcache ~ws pool ~si ~r_drv ~s_drv)
-      drives
-  in
-  (* The first pass of each warms its cache and gives the agreement. *)
-  let rb = boxed () and rf = flat () in
-  let err = ref 0. in
-  Array.iteri
-    (fun si row ->
-      Array.iteri
-        (fun k (d, s) ->
-          let d', s' = rf.(si).(k) in
-          if Float.is_finite d || Float.is_finite d' then
-            err := Float.max !err
-                (Float.max (Float.abs (d -. d')) (Float.abs (s -. s'))))
-        row)
-    rb;
-  (* A pass is a few milliseconds; enough passes for a stable rate. *)
-  let reps = if quick then 10 else 60 in
-  let t_boxed = time_runs reps (fun () -> ignore (boxed ())) in
-  let t_flat = time_runs reps (fun () -> ignore (flat ())) in
-  let nstages = Array.length stages in
-  let nodes =
-    Array.fold_left (fun a st -> a + st.Rcnet.rc.Rcnet.size) 0 stages
-  in
-  let per_s t = float_of_int nstages /. t in
-  Printf.printf
-    "  ti:%d stages at seg_len %d: %d stages, %d nodes (mean %.1f) | auto \
-     boxed %.0f solves/s | flat %.0f solves/s (%4.2fx) | max err %.2g ps\n%!"
-    nsinks seg_len nstages nodes
-    (float_of_int nodes /. float_of_int nstages)
-    (per_s t_boxed) (per_s t_flat) (t_boxed /. t_flat) !err;
-  ( !err,
-    Obj
-      [
-        ("sinks", Num (float_of_int nsinks));
-        ("seg_len_nm", Num (float_of_int seg_len));
-        ("stages", Num (float_of_int nstages));
-        ("nodes", Num (float_of_int nodes));
-        ("mode", Str "auto");
-        ("auto_boxed_ms", Num (t_boxed *. 1e3));
-        ("auto_flat_ms", Num (t_flat *. 1e3));
-        ("boxed_solves_per_sec", Num (per_s t_boxed));
-        ("flat_solves_per_sec", Num (per_s t_flat));
-        ("auto_speedup", Num (t_boxed /. t_flat));
-        ("max_err_ps", Num !err);
-      ] )
-
-(* Throughput of the streaming flat kernel against the boxed reference on
-   single-stage ZST trees, inflated to the 10K/50K/100K+ RC-node range by
-   finer segmentation. Fixed-mode marches measure the raw sweep kernel —
-   every step solves the whole tree, so nodes/sec is size × solves / time
-   — and the default Auto mode shows the adaptive gain on top (the
-   flow's own stage shapes are [kernel_flow_row]'s).
-   Both kernels march through the shared multi-rate controller, so the
-   Fixed solve counts are identical by construction and the accuracy
-   columns must agree to well under 1e-9 ps. *)
-let kernel_bench () =
-  section "Flat-arena kernel — boxed reference vs streaming flat";
-  let open Suite.Report.Json in
-  let module Tr = Analysis.Transient in
-  let module Rcf = Analysis.Rcflat in
-  let flow_err, flow_row = kernel_flow_row () in
-  let configs = [ (500, 6_000); (2_000, 5_000); (4_000, 3_500) ] in
-  let rows =
-    List.map
-      (fun (nsinks, seg_len) ->
-        let b = Suite.Gen_ti.generate nsinks in
-        let tech = b.Suite.Format_io.tech in
-        let tree =
-          Dme.Zst.build ~tech ~source:b.Suite.Format_io.source
-            b.Suite.Format_io.sinks
-        in
-        let stage = List.hd (Analysis.Rcnet.stages ~seg_len tree) in
-        let rc = stage.Analysis.Rcnet.rc in
-        let pool = Rcf.compile ~seg_len (Ctree.Arena.compile tree) in
-        let si = 0 in
-        assert (Rcf.nstages pool = 1);
-        let n = rc.Analysis.Rcnet.size in
-        let r_drv = tech.Tech.source_r and s_drv = tech.Tech.source_slew in
-        let ws = Tr.workspace () in
-        let bcache = Tr.Fcache.create ()
-        and fcache = Tr.Flat.Fcache.create () in
-        let boxed mode = Tr.solve ~mode ~fcache:bcache ~ws rc ~r_drv ~s_drv in
-        let flat mode =
-          Tr.Flat.solve ~mode ~fcache ~ws pool ~si ~r_drv ~s_drv
-        in
-        let reference = boxed Tr.Fixed in
-        let dmax = ref 0. and smax = ref 0. in
-        Array.iteri
-          (fun k (d, s) ->
-            let d0, s0 = reference.(k) in
-            if Float.is_finite d0 || Float.is_finite d then begin
-              dmax := Float.max !dmax (Float.abs (d -. d0));
-              smax := Float.max !smax (Float.abs (s -. s0))
-            end)
-          (flat Tr.Fixed);
-        let reps = if n >= 40_000 then 1 else 3 in
-        (* Solve counts come from the cross-call kernel counters; both
-           kernels march through the same controller so the Fixed counts
-           match and nodes/sec is directly comparable. *)
-        let timed mode run =
-          let c0 = (Tr.counters ()).Tr.total_solves in
-          let t = time_runs reps (fun () -> ignore (run mode)) in
-          let solves = ((Tr.counters ()).Tr.total_solves - c0) / reps in
-          (t, solves)
-        in
-        let t_boxed, solves = timed Tr.Fixed boxed in
-        let t_flat, _ = timed Tr.Fixed flat in
-        let t_aboxed, _ = timed Tr.default_mode boxed in
-        let t_aflat, _ = timed Tr.default_mode flat in
-        let nps t = float_of_int n *. float_of_int solves /. t in
-        Printf.printf
-          "  %6d sinks %7d nodes: fixed boxed %8.1f ms | flat %8.1f ms \
-           (%4.2fx, %.1fM nodes/s) | auto %6.1f -> %6.1f ms | err d %.2g / s %.2g ps\n%!"
-          nsinks n (t_boxed *. 1e3) (t_flat *. 1e3) (t_boxed /. t_flat)
-          (nps t_flat /. 1e6) (t_aboxed *. 1e3) (t_aflat *. 1e3) !dmax !smax;
-        (* Sub-femtosecond agreement: the level permutation reorders the
-           residual accumulation, so crossings drift by ulps — observed
-           ~1e-6 ps at 100K-node stages, guarded at 1e-5 ps. *)
-        ( n,
-          t_boxed /. t_flat,
-          nps t_flat,
-          !dmax <= 1e-5 && !smax <= 1e-5,
-          Obj
-            [
-              ("sinks", Num (float_of_int nsinks));
-              ("seg_len_nm", Num (float_of_int seg_len));
-              ("nodes", Num (float_of_int n));
-              ("taps", Num (float_of_int (Array.length rc.Analysis.Rcnet.taps)));
-              ("fixed_solves", Num (float_of_int solves));
-              ("boxed_ms", Num (t_boxed *. 1e3));
-              ("flat_ms", Num (t_flat *. 1e3));
-              ("boxed_nodes_per_sec", Num (nps t_boxed));
-              ("flat_nodes_per_sec", Num (nps t_flat));
-              ("speedup", Num (t_boxed /. t_flat));
-              ("auto_boxed_ms", Num (t_aboxed *. 1e3));
-              ("auto_flat_ms", Num (t_aflat *. 1e3));
-              ("auto_speedup", Num (t_aboxed /. t_aflat));
-              ("max_delay_err_ps", Num !dmax);
-              ("max_slew_err_ps", Num !smax);
-            ] ))
-      configs
-  in
-  let nodes_top, speedup_top, flat_nps_top, _, _ =
-    List.fold_left
-      (fun ((bn, _, _, _, _) as best) ((n, _, _, _, _) as row) ->
-        if n > bn then row else best)
-      (List.hd rows) rows
-  in
-  let accuracy_ok =
-    flow_err <= 1e-5 && List.for_all (fun (_, _, _, ok, _) -> ok) rows
-  in
-  Printf.printf
-    "  largest row: %d nodes, %.2fx, flat %.3g nodes/s; accuracy_ok=%b\n%!"
-    nodes_top speedup_top flat_nps_top accuracy_ok;
-  let json =
-    Obj
-      [
-        ("flow_ti2000", flow_row);
-        ("rows", List (List.map (fun (_, _, _, _, j) -> j) rows));
-        ("nodes_100k", Num (float_of_int nodes_top));
-        ("speedup_100k", Num speedup_top);
-        ("flat_nodes_per_sec_100k", Num flat_nps_top);
-        ("accuracy_ok", Num (if accuracy_ok then 1. else 0.));
-      ]
-  in
-  let path = Filename.concat out_dir "kernel_bench.json" in
-  Core.Persist.write_atomic path (to_string json);
-  Printf.printf "wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
 (* Figures                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1093,11 +863,11 @@ let pass_bench () =
 (* ------------------------------------------------------------------ *)
 
 (* One monolithic and one regional run of the same ti:20000 instance
-   under the scalability configuration (flat streaming kernel, 60 µm
-   segments). The speedup is algorithmic as much as parallel: each
-   region's optimization loops work on a quarter-size tree with sub-ps
-   local skew, so none of them (nor the stitched polish) triggers the
-   expensive monolithic second pass. *)
+   under the scalability configuration (60 µm segments). The speedup is
+   algorithmic as much as parallel: each region's optimization loops
+   work on a quarter-size tree with sub-ps local skew, so none of them
+   (nor the stitched polish) triggers the expensive monolithic second
+   pass. *)
 let region_bench () =
   let open Suite.Report.Json in
   section "Regional partition + stitch vs monolithic flow (ti:20000)";
@@ -1105,7 +875,6 @@ let region_bench () =
   let base_config =
     { Core.Config.default with
       Core.Config.engine = Ev.Spice;
-      flat = true;
       seg_len = 60_000 }
   in
   let workers = max 1 (Domain.recommended_domain_count () - 1) in
@@ -1448,10 +1217,6 @@ let () =
   end
   else if passes_only then begin
     pass_bench ();
-    Printf.printf "\ntotal harness time: %.1f s\n" (Core.Monoclock.now () -. t0)
-  end
-  else if kernel_only then begin
-    kernel_bench ();
     Printf.printf "\ntotal harness time: %.1f s\n" (Core.Monoclock.now () -. t0)
   end
   else if eval_only then begin

@@ -1,5 +1,4 @@
 module Tree = Ctree.Tree
-module Arena = Ctree.Arena
 
 type engine = Elmore_model | Arnoldi | Spice
 type transition = Rise | Fall
@@ -124,102 +123,6 @@ let propagate ?step ?mode ?fcache ?fps ?ws engine tree stages corner
       solve_stage ?step ?mode ?fcache ?fp ?ws engine rc ~r_drv ~s_drv)
     tree stages corner source_transition
 
-(* Launch-chain state of one corner × transition pass over a flat stage
-   pool. Split out of the propagation loop so the level-batched parallel
-   refresh can advance many passes in lockstep: gather the stage drives
-   of one DAG level for every pass, solve them all, then apply the taps —
-   in stage order, so every float and every worst-slew comparison matches
-   the sequential pass exactly. *)
-type pstate = {
-  p_latency : float array;
-  p_slew : float array;
-  p_launch : float array;
-  p_out_tr : transition array;
-  p_in_slew : float array;
-  mutable p_worst : float;
-  mutable p_worst_node : int;
-}
-
-let pstate_make tree source_transition =
-  let n = Tree.size tree in
-  let tech = Tree.tech tree in
-  let st =
-    { p_latency = Array.make n nan; p_slew = Array.make n nan;
-      p_launch = Array.make n nan;
-      p_out_tr = Array.make n source_transition;
-      p_in_slew = Array.make n tech.Tech.source_slew;
-      p_worst = 0.; p_worst_node = -1 }
-  in
-  st.p_launch.(Tree.root tree) <- 0.;
-  st
-
-(* Driver parameters of stage [si] given the pass state: reads the
-   arena's kind tag and stored drive resistances — the exact values the
-   boxed accessors return — so the (r_drv, s_drv) cache keys are
-   bit-identical to the boxed pass's. *)
-let stage_drive tech (arena : Arena.t) (pool : Rcflat.t)
-    (corner : Tech.Corner.t) st si =
-  let driver = pool.Rcflat.driver.(si) in
-  let tr = st.p_out_tr.(driver) in
-  let k = arena.Arena.kind.(driver) in
-  let r_base =
-    if k = Arena.k_source then tech.Tech.source_r
-    else if k = Arena.k_buffer then
-      match tr with
-      | Rise -> arena.Arena.drv_r_up.{driver}
-      | Fall -> arena.Arena.drv_r_down.{driver}
-    else invalid_arg "Evaluator: stage driven by a non-driver node"
-  in
-  let r_drv = r_base *. corner.Tech.Corner.r_scale in
-  let s_drv =
-    if k = Arena.k_source then tech.Tech.source_slew
-    else internal_ramp_slew ~in_slew:st.p_in_slew.(driver)
-  in
-  (driver, tr, r_drv, s_drv)
-
-let pstate_apply (arena : Arena.t) (pool : Rcflat.t)
-    (corner : Tech.Corner.t) st si ~driver ~tr results =
-  let nodes = pool.Rcflat.tap_node.(si) in
-  let kinds = pool.Rcflat.tap_kind.(si) in
-  let launch_d = st.p_launch.(driver) in
-  for k = 0 to Array.length nodes - 1 do
-    let id = nodes.(k) in
-    let d, s = results.(k) in
-    let arrival = launch_d +. d in
-    st.p_latency.(id) <- arrival;
-    st.p_slew.(id) <- s;
-    if s > st.p_worst then begin
-      st.p_worst <- s;
-      st.p_worst_node <- id
-    end;
-    if kinds.(k) = 1 then begin
-      let gate_delay =
-        (arena.Arena.drv_d_intr.{id} *. corner.Tech.Corner.d_scale)
-        +. (arena.Arena.drv_slew_c.{id} *. s)
-      in
-      st.p_launch.(id) <- arrival +. gate_delay;
-      st.p_in_slew.(id) <- s;
-      st.p_out_tr.(id) <- (if arena.Arena.inverting.(id) = 1 then flip tr else tr)
-    end
-  done
-
-let pstate_run st corner transition =
-  { corner; transition; latency = st.p_latency; slew = st.p_slew;
-    worst_slew = st.p_worst; worst_slew_node = st.p_worst_node }
-
-(* Flat analogue of [propagate_with]: one sequential corner × transition
-   pass over the stage pool. *)
-let propagate_pool ~solve tree arena pool (corner : Tech.Corner.t)
-    source_transition =
-  let tech = Tree.tech tree in
-  let st = pstate_make tree source_transition in
-  for si = 0 to pool.Rcflat.nstages - 1 do
-    let driver, tr, r_drv, s_drv = stage_drive tech arena pool corner st si in
-    let results = solve si ~r_drv ~s_drv in
-    pstate_apply arena pool corner st si ~driver ~tr results
-  done;
-  pstate_run st corner source_transition
-
 let spread latencies sinks =
   let lo = ref infinity and hi = ref neg_infinity in
   Array.iter
@@ -309,61 +212,43 @@ let summarize tree runs =
     stats;
   }
 
+(* [?flat] selected the flat-arena engine, since removed. The argument
+   stays until the benchmark harness stops passing it; [true] raises
+   rather than being silently ignored. *)
+let reject_flat flat =
+  if flat then
+    invalid_arg
+      "Evaluator: the flat-arena engine was removed; flat must be false"
+
 let evaluate ?(engine = Spice) ?(flat = false) ?seg_len ?transient_step
     ?transient_mode tree =
+  reject_flat flat;
   Atomic.incr counter;
-  let tech = Tree.tech tree in
-  let corners = tech.Tech.corners in
-  if flat && engine = Spice then begin
-    (* Streaming path: one arena snapshot and one flat stage pool scoped
-       to this call; the corner × transition runs share a flat
-       factorisation cache and a workspace exactly like the boxed runs
-       share theirs, so cached factors stay bit-identical to recomputed
-       ones. *)
-    let arena = Arena.compile tree in
-    let pool = Rcflat.compile ?seg_len arena in
-    let fcache = Transient.Flat.Fcache.create () in
-    let ws = Transient.domain_workspace () in
-    let solve si ~r_drv ~s_drv =
-      Transient.Flat.solve ?step:transient_step ?mode:transient_mode ~fcache
-        ~ws pool ~si ~r_drv ~s_drv
-    in
-    let runs =
-      List.concat_map
-        (fun corner ->
-          List.map
-            (fun tr -> propagate_pool ~solve tree arena pool corner tr)
-            [ Rise; Fall ])
-        corners
-    in
-    summarize tree runs
-  end
-  else begin
-    let stages = Array.of_list (Rcnet.stages ?seg_len tree) in
-    (* Scoped to this call: one workspace and one factorisation cache let
-       the corner × transition runs share per-stage factorisations (and,
-       in the adaptive modes, the coarse-rate factors) without allocating
-       state arrays per stage. Numerics are unchanged — a cached factor is
-       bit-identical to a recomputed one. *)
-    let fcache, ws, fps =
-      match engine with
-      | Spice ->
-        ( Some (Transient.Fcache.create ()),
-          Some (Transient.domain_workspace ()),
-          Some (Array.map (fun st -> Rcnet.fingerprint st.Rcnet.rc) stages) )
-      | Arnoldi | Elmore_model -> (None, None, None)
-    in
-    let runs =
-      List.concat_map
-        (fun corner ->
-          List.map
-            (propagate ?step:transient_step ?mode:transient_mode ?fcache ?fps
-               ?ws engine tree stages corner)
-            [ Rise; Fall ])
-        corners
-    in
-    summarize tree runs
-  end
+  let corners = (Tree.tech tree).Tech.corners in
+  let stages = Array.of_list (Rcnet.stages ?seg_len tree) in
+  (* Scoped to this call: one workspace and one factorisation cache let
+     the corner × transition runs share per-stage factorisations (and,
+     in the adaptive modes, the coarse-rate factors) without allocating
+     state arrays per stage. Numerics are unchanged — a cached factor is
+     bit-identical to a recomputed one. *)
+  let fcache, ws, fps =
+    match engine with
+    | Spice ->
+      ( Some (Transient.Fcache.create ()),
+        Some (Transient.domain_workspace ()),
+        Some (Array.map (fun st -> Rcnet.fingerprint st.Rcnet.rc) stages) )
+    | Arnoldi | Elmore_model -> (None, None, None)
+  in
+  let runs =
+    List.concat_map
+      (fun corner ->
+        List.map
+          (propagate ?step:transient_step ?mode:transient_mode ?fcache ?fps
+             ?ws engine tree stages corner)
+          [ Rise; Fall ])
+      corners
+  in
+  summarize tree runs
 
 let nominal_run t tr =
   let nominal = (List.hd t.runs).corner in
@@ -423,7 +308,11 @@ module Store = struct
 
   (* Per-request view: the shared store plus this request's own hit/miss
      counters (atomic — the parallel corner × transition slots of one
-     session bump them from several domains). *)
+     session bump them from several domains). A miss is counted only by
+     the [add] that inserts a key, and a lookup that loses the race to
+     another slot's [add] counts as a hit there: two slots meeting one
+     key give one miss and one hit whichever runs first, so the counts
+     do not depend on scheduling. *)
   type handle = {
     store : t;
     h_hits : int Atomic.t;
@@ -451,16 +340,15 @@ module Store = struct
     Mutex.lock s.lock;
     let r = Hashtbl.find_opt s.tbl key in
     Mutex.unlock s.lock;
-    (match r with
-    | Some _ -> Atomic.incr h.h_hits
-    | None -> Atomic.incr h.h_misses);
+    if Option.is_some r then Atomic.incr h.h_hits;
     r
 
   let add h key v =
     let t = h.store in
     let s = stripe_of t key in
     Mutex.lock s.lock;
-    if not (Hashtbl.mem s.tbl key) then begin
+    let fresh = not (Hashtbl.mem s.tbl key) in
+    if fresh then begin
       if Hashtbl.length s.tbl >= t.stripe_cap then begin
         (* Random-subset eviction: drop a quarter of the stripe in hash
            order — effectively random keys, never the one being added. *)
@@ -479,7 +367,8 @@ module Store = struct
       end;
       Hashtbl.add s.tbl key v
     end;
-    Mutex.unlock s.lock
+    Mutex.unlock s.lock;
+    Atomic.incr (if fresh then h.h_misses else h.h_hits)
 
   let hits h = Atomic.get h.h_hits
   let misses h = Atomic.get h.h_misses
@@ -523,7 +412,6 @@ module Incremental = struct
        {!Transient.Fstore}; a factorisation is a pure function of its
        key, so which slot factors it first never changes a result. *)
     s_fcache : Transient.Fcache.t;
-    s_ffcache : Transient.Flat.Fcache.t;
     s_ws : Transient.workspace;
     mutable hits : int;
     mutable misses : int;
@@ -531,7 +419,6 @@ module Incremental = struct
 
   type session = {
     engine : engine;
-    flat : bool;
     seg_len : int option;
     parallel : bool;
     tstep : float option;
@@ -544,15 +431,6 @@ module Incremental = struct
     fstore : Transient.Fstore.t;
     mutable tree : Tree.t;
     slots : slot array;
-    (* Flat-engine state: the arena snapshot and the stage pool the
-       session last compiled (rebuilt when the session is rebound to a
-       different tree), a scratch workspace for the serial prep phase,
-       and one workspace per domain for the chunked parallel solves
-       (allocated lazily on the first parallel flat refresh). *)
-    mutable f_arena : Arena.t option;
-    mutable f_pool : Rcflat.t option;
-    f_scratch : Transient.workspace;
-    mutable f_ws : Transient.workspace array;
     (* Probe calls come from the session's own thread (tests, debugging),
        never from the parallel phase; they get a dedicated cache and
        workspace so they cannot disturb the slots'. *)
@@ -588,9 +466,7 @@ module Incremental = struct
 
   let create ?(engine = Spice) ?(flat = false) ?seg_len ?(parallel = true)
       ?transient_step ?transient_mode ?store tree =
-    (* The flat pool streams the backward-Euler kernel; the model engines
-       never touch it, so the knob quietly means "boxed" for them. *)
-    let flat = flat && engine = Spice in
+    reject_flat flat;
     let corners = (Tree.tech tree).Tech.corners in
     (* Per-slot factorisation caches read through one shared
        factorisation table. The factor excludes the driver conductance,
@@ -613,15 +489,12 @@ module Incremental = struct
                  { s_corner = corner; s_transition = tr;
                    cache = Hashtbl.create 1024;
                    s_fcache = Transient.Fcache.create ~store:fstore ();
-                   s_ffcache = Transient.Flat.Fcache.create ();
                    s_ws = Transient.workspace (); hits = 0; misses = 0 })
                [ Rise; Fall ])
            corners)
     in
-    { engine; flat; seg_len; parallel; tstep = transient_step;
-      tmode = transient_mode; store; fstore; tree; slots; f_arena = None;
-      f_pool = None;
-      f_scratch = Transient.workspace (); f_ws = [||];
+    { engine; seg_len; parallel; tstep = transient_step;
+      tmode = transient_mode; store; fstore; tree; slots;
       probe_fcache = Transient.Fcache.create ();
       probe_ws = Transient.workspace (); last = None; last_revision = -1;
       last_tree = tree; refreshes = 0; fast_refreshes = 0;
@@ -667,232 +540,26 @@ module Incremental = struct
     in
     propagate_with ~solve session.tree stages slot.s_corner slot.s_transition
 
-  let run_slot_flat session arena pool slot =
-    let solve si ~r_drv ~s_drv =
-      let key = (pool.Rcflat.fp.(si), r_drv, s_drv) in
-      match Hashtbl.find_opt slot.cache key with
-      | Some r ->
-        slot.hits <- slot.hits + 1;
-        r
-      | None ->
-        slot.misses <- slot.misses + 1;
-        let r =
-          match Option.bind session.store (fun h -> Store.find h key) with
-          | Some r -> r
-          | None ->
-            let r =
-              Transient.Flat.solve ?step:session.tstep ?mode:session.tmode
-                ~fcache:slot.s_ffcache ~ws:slot.s_ws pool ~si ~r_drv ~s_drv
-            in
-            (match session.store with
-            | Some h -> Store.add h key r
-            | None -> ());
-            r
-        in
-        if Hashtbl.length slot.cache >= cache_cap then Hashtbl.reset slot.cache;
-        Hashtbl.add slot.cache key r;
-        r
-    in
-    propagate_pool ~solve session.tree arena pool slot.s_corner
-      slot.s_transition
-
-  (* One pending flat solve of the level-batched refresh: which slot and
-     stage it serves, its drive key, the pre-resolved march state, and
-     the cell the chunk worker drops the result into. *)
-  type fjob = {
-    j_slot : int;
-    j_si : int;
-    j_r : float;
-    j_s : float;
-    j_prepped : Transient.Flat.prepped;
-    j_out : (float * float) array option ref;
-  }
-
-  (* Level-batched parallel flat refresh. Stages within one DAG level
-     share no launch dependency, and the pool stores a level as a
-     contiguous stage-index range — so the fan-out unit is an index
-     range, not a per-stage closure. Per level: every slot's cache
-     misses are gathered and prepped serially (preps touch the shared
-     per-slot factorisation caches), the job array is cut into at most
-     one contiguous chunk per workspace, the chunks march on the domain
-     pool with no shared mutable state, and the results are committed
-     and the tap/launch state advanced serially in stage order. Hits,
-     misses, cache contents and every reported float match the
-     sequential pass exactly. *)
-  let run_all_flat session arena pool =
-    if Array.length session.f_ws = 0 then
-      session.f_ws <-
-        Array.init
-          (Domain_pool.size (Domain_pool.global ()) + 1)
-          (fun _ -> Transient.workspace ());
-    let tech = Tree.tech session.tree in
-    let nslots = Array.length session.slots in
-    let states =
-      Array.map (fun s -> pstate_make session.tree s.s_transition)
-        session.slots
-    in
-    let level_res : (float * float) array option ref array array =
-      Array.make nslots [||]
-    in
-    let level_tr = Array.make nslots [||] in
-    let level_drv = Array.make nslots [||] in
-    for l = 0 to pool.Rcflat.nlevels - 1 do
-      let lo = pool.Rcflat.level_off.(l) in
-      let hi = pool.Rcflat.level_off.(l + 1) in
-      let w = hi - lo in
-      let jobs = ref [] in
-      for k = 0 to nslots - 1 do
-        let slot = session.slots.(k) in
-        let st = states.(k) in
-        let res = Array.make w (ref None) in
-        let trs = Array.make w slot.s_transition in
-        let drvs = Array.make w (-1) in
-        (* Within-level dedup: first occurrence of a missing key becomes
-           the job, later occurrences share its output cell and count as
-           the cache hits they would be sequentially. *)
-        let local = Hashtbl.create ((2 * w) + 1) in
-        for si = lo to hi - 1 do
-          let driver, tr, r_drv, s_drv =
-            stage_drive tech arena pool slot.s_corner st si
-          in
-          let key = (pool.Rcflat.fp.(si), r_drv, s_drv) in
-          let out =
-            match Hashtbl.find_opt local key with
-            | Some cell ->
-              slot.hits <- slot.hits + 1;
-              cell
-            | None ->
-              (match Hashtbl.find_opt slot.cache key with
-              | Some r ->
-                slot.hits <- slot.hits + 1;
-                let cell = ref (Some r) in
-                Hashtbl.add local key cell;
-                cell
-              | None ->
-                slot.misses <- slot.misses + 1;
-                (match
-                   Option.bind session.store (fun h -> Store.find h key)
-                 with
-                | Some r ->
-                  (* Shared-store hit: commit it locally right away so
-                     later levels hit the slot cache like any other. *)
-                  let cell = ref (Some r) in
-                  Hashtbl.add local key cell;
-                  if Hashtbl.length slot.cache >= cache_cap then
-                    Hashtbl.reset slot.cache;
-                  Hashtbl.add slot.cache key r;
-                  cell
-                | None ->
-                  let cell = ref None in
-                  Hashtbl.add local key cell;
-                  let prepped =
-                    Transient.Flat.prep ?step:session.tstep
-                      ?mode:session.tmode ~fcache:slot.s_ffcache
-                      ~scratch:session.f_scratch pool ~si ~r_drv
-                  in
-                  jobs :=
-                    { j_slot = k; j_si = si; j_r = r_drv; j_s = s_drv;
-                      j_prepped = prepped; j_out = cell }
-                    :: !jobs;
-                  cell))
-          in
-          res.(si - lo) <- out;
-          trs.(si - lo) <- tr;
-          drvs.(si - lo) <- driver
-        done;
-        level_res.(k) <- res;
-        level_tr.(k) <- trs;
-        level_drv.(k) <- drvs
-      done;
-      (match !jobs with
-      | [] -> ()
-      | js ->
-        let arr = Array.of_list (List.rev js) in
-        let nj = Array.length arr in
-        let nchunks = Int.min (Array.length session.f_ws) nj in
-        let per = nj / nchunks and extra = nj mod nchunks in
-        let chunks =
-          Array.init nchunks (fun c ->
-              let start = (c * per) + Int.min c extra in
-              let stop = start + per + (if c < extra then 1 else 0) in
-              (c, start, stop))
-        in
-        ignore
-          (Domain_pool.map (Domain_pool.global ())
-             (fun (c, start, stop) ->
-               let ws = session.f_ws.(c) in
-               for i = start to stop - 1 do
-                 let j = arr.(i) in
-                 j.j_out :=
-                   Some
-                     (Transient.Flat.solve_prepped ?step:session.tstep ~ws
-                        pool ~si:j.j_si ~prepped:j.j_prepped ~r_drv:j.j_r
-                        ~s_drv:j.j_s)
-               done)
-             chunks);
-        Array.iter
-          (fun j ->
-            let slot = session.slots.(j.j_slot) in
-            let key = (pool.Rcflat.fp.(j.j_si), j.j_r, j.j_s) in
-            let r = Option.get !(j.j_out) in
-            (match session.store with
-            | Some h -> Store.add h key r
-            | None -> ());
-            if Hashtbl.length slot.cache >= cache_cap then
-              Hashtbl.reset slot.cache;
-            Hashtbl.add slot.cache key r)
-          arr);
-      for k = 0 to nslots - 1 do
-        let slot = session.slots.(k) in
-        let st = states.(k) in
-        for si = lo to hi - 1 do
-          let results = Option.get !(level_res.(k).(si - lo)) in
-          pstate_apply arena pool slot.s_corner st si
-            ~driver:level_drv.(k).(si - lo)
-            ~tr:level_tr.(k).(si - lo)
-            results
-        done
-      done
-    done;
-    let runs =
-      Array.to_list
-        (Array.map2
-           (fun slot st -> pstate_run st slot.s_corner slot.s_transition)
-           session.slots states)
-    in
-    summarize session.tree runs
-
   let run_all session =
-    match (session.f_arena, session.f_pool) with
-    | Some arena, Some pool when session.flat ->
+    let stages = session.c_stages and fps = session.c_fps in
+    let runs =
       if session.parallel && Array.length session.slots > 1 then
-        run_all_flat session arena pool
-      else
-        summarize session.tree
-          (Array.to_list
-             (Array.map (run_slot_flat session arena pool) session.slots))
-    | _ ->
-      let stages = session.c_stages and fps = session.c_fps in
-      let runs =
-        if session.parallel && Array.length session.slots > 1 then
-          Domain_pool.map (Domain_pool.global ())
-            (run_slot session stages fps)
-            session.slots
-        else Array.map (run_slot session stages fps) session.slots
-      in
-      summarize session.tree (Array.to_list runs)
+        Domain_pool.map (Domain_pool.global ())
+          (run_slot session stages fps)
+          session.slots
+      else Array.map (run_slot session stages fps) session.slots
+    in
+    summarize session.tree (Array.to_list runs)
 
   (* Node → stage maps for the dirty fast path: a stage is dirtied when
      a node whose parent wire it contains (or a buffer whose drive it
      provides) is edited. Unreachable (detached) nodes keep -1, which
      forces any edit touching them back to a full extraction. *)
-  let stage_maps tree ~nstages ~driver_of =
+  let stage_maps tree stages =
     let n = Tree.size tree in
     let stage_of = Array.make n (-1) in
     let driven = Array.make n (-1) in
-    for si = 0 to nstages - 1 do
-      driven.(driver_of si) <- si
-    done;
+    Array.iteri (fun si st -> driven.(st.Rcnet.driver) <- si) stages;
     Array.iter
       (fun id ->
         let nd = Tree.node tree id in
@@ -905,53 +572,13 @@ module Incremental = struct
 
   let full_refresh session =
     let tree = session.tree in
-    (if session.flat then begin
-       let arena =
-         match session.f_arena with
-         | Some a when Arena.tree a == tree ->
-           Arena.sync a;
-           a
-         | _ ->
-           (* Rebound to a different tree (or first refresh): the pool
-              holds slices of the old arena, so both are rebuilt. *)
-           let a = Arena.compile tree in
-           session.f_arena <- Some a;
-           session.f_pool <- None;
-           a
-       in
-       let pool =
-         match session.f_pool with
-         | Some p ->
-           Rcflat.recompile p;
-           p
-         | None ->
-           let p = Rcflat.compile ?seg_len:session.seg_len arena in
-           session.f_pool <- Some p;
-           p
-       in
-       let stage_of, driven =
-         stage_maps tree ~nstages:pool.Rcflat.nstages ~driver_of:(fun si ->
-             pool.Rcflat.driver.(si))
-       in
-       session.c_stages <- [||];
-       session.c_fps <- [||];
-       session.c_stage_of <- stage_of;
-       session.c_driven <- driven
-     end
-     else begin
-       let stages =
-         Array.of_list (Rcnet.stages ?seg_len:session.seg_len tree)
-       in
-       let fps = Array.map (fun st -> Rcnet.fingerprint st.Rcnet.rc) stages in
-       let stage_of, driven =
-         stage_maps tree ~nstages:(Array.length stages) ~driver_of:(fun si ->
-             stages.(si).Rcnet.driver)
-       in
-       session.c_stages <- stages;
-       session.c_fps <- fps;
-       session.c_stage_of <- stage_of;
-       session.c_driven <- driven
-     end);
+    let stages = Array.of_list (Rcnet.stages ?seg_len:session.seg_len tree) in
+    let fps = Array.map (fun st -> Rcnet.fingerprint st.Rcnet.rc) stages in
+    let stage_of, driven = stage_maps tree stages in
+    session.c_stages <- stages;
+    session.c_fps <- fps;
+    session.c_stage_of <- stage_of;
+    session.c_driven <- driven;
     session.stages_tree <- tree;
     session.anchor_rev <- Tree.revision tree;
     session.pending <- [];
@@ -978,9 +605,8 @@ module Incremental = struct
       match nodes with
       | None -> None
       | Some nodes ->
-        let ids = List.sort_uniq compare nodes in
         let rec go acc = function
-          | [] -> Some (ids, List.sort_uniq compare acc)
+          | [] -> Some (List.sort_uniq compare acc)
           | id :: rest ->
             if id < 0 || id >= Tree.size session.tree then None
             else
@@ -996,34 +622,22 @@ module Incremental = struct
                 | _ -> go (si :: acc) rest
               end
         in
-        go [] ids
+        go [] (List.sort_uniq compare nodes)
 
   (* Re-extract only the dirty stages; every slot then re-propagates over
      the cached stage array, hitting its solve cache on the clean ones
      (the downstream-latency cone is handled by the propagation itself —
      arrival chaining is recomputed for free, only dirty-stage solves
      miss). *)
-  let dirty_refresh session ids dirty rev =
+  let dirty_refresh session dirty rev =
     session.dirty_refreshes <- session.dirty_refreshes + 1;
-    (if session.flat then begin
-       (* Dirty hints come from value-only journals (size and stage set
-          unchanged), so patching the touched arena nodes and
-          re-extracting the dirty stages in place is exact. *)
-       let arena = Option.get session.f_arena in
-       let pool = Option.get session.f_pool in
-       Arena.sync ~touched:ids arena;
-       List.iter (Rcflat.update_stage pool) dirty
-     end
-     else
-       List.iter
-         (fun si ->
-           let driver = session.c_stages.(si).Rcnet.driver in
-           let st =
-             Rcnet.stage_for ?seg_len:session.seg_len session.tree ~driver
-           in
-           session.c_stages.(si) <- st;
-           session.c_fps.(si) <- Rcnet.fingerprint st.Rcnet.rc)
-         dirty);
+    List.iter
+      (fun si ->
+        let driver = session.c_stages.(si).Rcnet.driver in
+        let st = Rcnet.stage_for ?seg_len:session.seg_len session.tree ~driver in
+        session.c_stages.(si) <- st;
+        session.c_fps.(si) <- Rcnet.fingerprint st.Rcnet.rc)
+      dirty;
     session.anchor_rev <- rev;
     session.pending <- [];
     run_all session
@@ -1040,7 +654,7 @@ module Incremental = struct
     | _ ->
       let res =
         match dirty_plan session ~edits ~rev with
-        | Some (ids, dirty) -> dirty_refresh session ids dirty rev
+        | Some dirty -> dirty_refresh session dirty rev
         | None -> full_refresh session
       in
       session.last <- Some res;
@@ -1076,8 +690,7 @@ module Incremental = struct
       Transient.Fcache.length session.probe_fcache
       + Array.fold_left
           (fun a s ->
-            a + Transient.Fcache.length s.s_fcache
-            + Transient.Flat.Fcache.length s.s_ffcache)
+            a + Transient.Fcache.length s.s_fcache)
           0 session.slots
     in
     let store_hits, store_misses =
@@ -1095,7 +708,6 @@ module Incremental = struct
       (fun s ->
         Hashtbl.reset s.cache;
         Transient.Fcache.clear s.s_fcache;
-        Transient.Flat.Fcache.clear s.s_ffcache;
         s.hits <- 0;
         s.misses <- 0)
       session.slots;

@@ -53,13 +53,10 @@ type t = {
     see {!Transient.mode}); both default to the kernel's own defaults and
     are ignored by the other engines.
 
-    [flat] (default false) runs the [Spice] engine through the streaming
-    kernel instead: the tree is compiled into a {!Ctree.Arena} snapshot
-    and an {!Rcflat} stage pool and every march runs over flat memory
-    (see {!Transient.Flat}). Cache keys and adaptive rate choices are
-    bit-identical to the boxed path; crossing times agree to
-    sub-femtosecond (~1e-6 ps at 100K-node stages). Ignored by the
-    other engines. *)
+    [flat] must be [false] (the default). It selected the flat-arena
+    engine, which is gone; the argument stays only until the benchmark
+    harness that still passes it drops it, and is removed then.
+    @raise Invalid_argument if [flat] is [true], whatever the engine. *)
 val evaluate :
   ?engine:engine -> ?flat:bool -> ?seg_len:int -> ?transient_step:float ->
   ?transient_mode:Transient.mode -> Ctree.Tree.t -> t
@@ -90,7 +87,7 @@ val pp_summary : Format.formatter -> t -> unit
 
     {b Caveat}: the keys do not encode the evaluation config — every
     session attached to one store must be numerically identical (same
-    engine, transient step and mode, flatness). Owners enforce this by
+    engine, transient step and mode). Owners enforce this by
     keying stores per config family; [Flow] additionally skips the store
     on degraded retries, whose relaxed kernel settings would otherwise
     poison the shared entries. *)
@@ -109,8 +106,18 @@ module Store : sig
 
   val handle : t -> handle
 
+  (** Look up a stage result. A hit is counted on the handle; a miss is
+      not — the {!add} that publishes the computed result counts it. *)
+  val find : handle -> Int64.t * float * float -> (float * float) array option
+
+  (** Publish a computed stage result. Counts a miss on the handle when
+      this call inserted the key, and a hit when another caller inserted
+      it first — so parallel slots racing on one key report the same
+      counts in any order. *)
+  val add : handle -> Int64.t * float * float -> (float * float) array -> unit
+
   (** Store lookups this handle answered from the shared table /
-      had to compute. *)
+      had to compute (see {!find} and {!add}). *)
   val hits : handle -> int
 
   val misses : handle -> int
@@ -167,18 +174,9 @@ module Incremental : sig
   type session
 
   (** [create tree] prepares a session; no evaluation happens yet.
-      [engine]/[flat]/[seg_len]/[transient_step]/[transient_mode] default
-      like {!evaluate}.
-
-      With [flat] the session keeps a {!Ctree.Arena} snapshot and an
-      {!Rcflat} stage pool alongside its caches: a full refresh
-      recompiles them in place (reusing the grown buffers), the
-      dirty-set fast path patches only the touched arena nodes and
-      re-extracts the dirty stages inside the pool, and a parallel
-      refresh batches each stage-DAG level's cache misses into
-      contiguous index-range chunks across the domain pool instead of
-      spawning a closure per stage. Results agree with the boxed
-      session's to sub-femtosecond (~1e-6 ps at 100K-node stages).
+      [engine]/[seg_len]/[transient_step]/[transient_mode] default like
+      {!evaluate}; [flat] has {!evaluate}'s contract and raises
+      [Invalid_argument] when [true].
 
       The per-slot factorisation caches read through one
       {!Transient.Fstore}, so the corner × transition slots share each

@@ -414,28 +414,25 @@ let stage_tau (rc : Rcnet.t) ~r_drv ~watch ~down ~m =
   Array.iter (fun wi -> if m.(wi) < !tau then tau := m.(wi)) watch;
   if Float.is_finite !tau then !tau else 0.
 
-(* Window-size selection from the watched time constant — shared by the
-   boxed and flat kernels so the same stage always gets the same rate. *)
-let mult_of_tau ~tau ~step ~max_mult =
-  let target =
-    auto_window_coeff *. Float.pow (Float.max tau 0.) (2. /. 3.) /. step
-  in
-  let cap = Int.max 2 (2 * (max_mult / 2)) in
-  let mult =
-    if Float.is_finite target then Int.min (int_of_float target) cap else cap
-  in
-  (* Below 12 the 7-solve window overhead eats the saving. *)
-  if mult < 12 then 1 else 2 * (mult / 2)
-
 let resolve_mult mode (rc : Rcnet.t) ~r_drv ~watch ~step ~down ~m =
   match mode with
   | Fixed -> 1
   | Adaptive { mult } -> if mult < 2 then 1 else 2 * (mult / 2)
   | Auto { max_mult } ->
     if Array.length watch = 0 then 1
-    else
+    else begin
       let tau = stage_tau rc ~r_drv ~watch ~down ~m in
-      mult_of_tau ~tau ~step ~max_mult
+      let target =
+        auto_window_coeff *. Float.pow (Float.max tau 0.) (2. /. 3.) /. step
+      in
+      let cap = Int.max 2 (2 * (max_mult / 2)) in
+      let mult =
+        if Float.is_finite target then Int.min (int_of_float target) cap
+        else cap
+      in
+      (* Below 12 the 7-solve window overhead eats the saving. *)
+      if mult < 12 then 1 else 2 * (mult / 2)
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Cross-call telemetry                                                *)
@@ -472,10 +469,7 @@ let reset_counters () =
    up) a coarse-rate one, and [solve f ~vs ~vin ~vout] advances one
    implicit step — the driver conductance and the residual scratch are
    captured inside the closure. The closure dispatch costs one indirect
-   call per *step* (the per-node work stays inside [solve]), so the boxed
-   and flat kernels share every line of controller logic — lead-in,
-   Lagrange extrapolation, bracket/rewind, truncation accounting — and
-   cannot drift apart. *)
+   call per *step*; the per-node work stays inside [solve]. *)
 let march_core ~step ~mult ~fine ~rate ~solve ~ws ~n ~ramp ~watch ~on_cross
     ~max_steps =
   (* [watch] : rc node indices to monitor; [on_cross] called with
@@ -662,6 +656,14 @@ let simulate ?(step = default_step) ?(mode = default_mode) ?factored ?fcache
     ?fp ?ws ?(max_steps = default_max_steps) (rc : Rcnet.t) ~r_drv ~s_drv
     ~watch ~on_cross =
   let n = rc.size in
+  (* The march reads watched voltages from a workspace that may have grown
+     past [n] for an earlier, larger stage: an out-of-range watch would
+     read stale values and never cross. *)
+  Array.iter
+    (fun wi ->
+      if wi < 0 || wi >= n then
+        invalid_arg "Transient.simulate: watch index outside the stage")
+    watch;
   if n = 0 then { solves = 0; fine_equiv = 0; truncated = false }
   else begin
     let ws = match ws with Some w -> w | None -> domain_workspace () in
@@ -720,6 +722,8 @@ let solve ?step ?mode ?factored ?fcache ?fp ?ws (rc : Rcnet.t) ~r_drv ~s_drv =
 let probe ?(step = default_step) ?factored ?fcache ?fp ?ws (rc : Rcnet.t)
     ~r_drv ~s_drv ~node ~times =
   check_stage rc;
+  if node < 0 || node >= rc.size then
+    invalid_arg "Transient.probe: node outside the stage";
   let f = get_factored ?factored ?fcache ?fp ~step rc in
   check_factored rc f;
   let g0 = 1. /. r_drv in
@@ -759,331 +763,3 @@ let probe ?(step = default_step) ?factored ?fcache ?fp ?ws (rc : Rcnet.t)
     incr k
   done;
   out
-
-(* ------------------------------------------------------------------ *)
-(* Flat kernel over the Rcflat stage pool                              *)
-(* ------------------------------------------------------------------ *)
-
-module Flat = struct
-  (* Same backward-Euler factorisation as the boxed kernel, stored as
-     flat float64 buffers with both per-node divisions of the sweeps
-     precomputed: [fgd] holds g/dfact (the forward-sweep coefficient,
-     which is also the backward-sweep parent coefficient, since
-     (r + g·v_p)/dfact = r/dfact + (g/dfact)·v_p) and [finv] holds
-     1/dfact. Per step the kernel does no division and no allocation.
-
-     The factored arrays are additionally permuted into breadth-first
-     level order. Both sweeps chain through the tree one parent hop per
-     node, so in DFS order each long wire is a serial latency chain of
-     dependent multiply-adds (with a division in that chain on the boxed
-     side). In level order every node of a level depends only on the
-     previous level, which the out-of-order core overlaps freely — the
-     sweeps become throughput-bound instead of latency-bound. The
-     permutation only reorders the residual accumulation, so crossing
-     times agree with the boxed reference to sub-femtosecond (observed
-     ~1e-6 ps at 100K-node stages). State vectors live in permuted
-     space for the whole march; [fpos] maps stage-local rc indices into
-     it for watch lists and probes. *)
-  type ffactored = {
-    fn : int;
-    fparent : int array;  (* permuted-space parent; fparent.(0) = -1 *)
-    fpos : int array;     (* stage-local rc index -> permuted index *)
-    fgd : Rcflat.f64;     (* g / dfact, coefficient of both sweeps *)
-    finv : Rcflat.f64;    (* 1 / dfact *)
-    fcoh : Rcflat.f64;    (* c·(rc_to_ps)/h *)
-    fd0 : float;          (* factored root diagonal, driver term excluded *)
-    fh : float;
-  }
-
-  let fba n : Rcflat.f64 =
-    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (Int.max n 1)
-
-  let factor (p : Rcflat.t) ~si ~step =
-    let n = p.Rcflat.size.(si) in
-    let base = p.Rcflat.off.(si) in
-    let res = p.Rcflat.res and cap = p.Rcflat.cap in
-    let parent = p.Rcflat.parent in
-    let fg = Array.make (Int.max n 1) 0. in
-    for i = 1 to n - 1 do
-      (* Same clamp as the boxed [factor]. *)
-      fg.(i) <- 1. /. Float.max res.{base + i} 1e-6
-    done;
-    let dfact = Array.make (Int.max n 1) 0. in
-    for i = 0 to n - 1 do
-      dfact.(i) <- (cap.{base + i} *. Tech.Units.rc_to_ps /. step) +. fg.(i)
-    done;
-    for i = 1 to n - 1 do
-      let pa = parent.(base + i) in
-      dfact.(pa) <- dfact.(pa) +. fg.(i)
-    done;
-    (* Leaf elimination over the precomputed order: within a stage the rc
-       indices are topological, so the order is simply n-1 downto 1. *)
-    for i = n - 1 downto 1 do
-      let pa = parent.(base + i) in
-      dfact.(pa) <- dfact.(pa) -. (fg.(i) *. fg.(i) /. dfact.(i))
-    done;
-    (* Stable counting sort by tree level: the permutation is a function
-       of the stage structure only, so every rate of a stage shares it. *)
-    let level = Array.make (Int.max n 1) 0 in
-    let nlevels = ref 1 in
-    for i = 1 to n - 1 do
-      level.(i) <- level.(parent.(base + i)) + 1;
-      if level.(i) >= !nlevels then nlevels := level.(i) + 1
-    done;
-    let loff = Array.make (!nlevels + 1) 0 in
-    for i = 0 to n - 1 do
-      loff.(level.(i) + 1) <- loff.(level.(i) + 1) + 1
-    done;
-    for l = 1 to !nlevels do
-      loff.(l) <- loff.(l) + loff.(l - 1)
-    done;
-    let ord = Array.make (Int.max n 1) 0 in
-    let fpos = Array.make (Int.max n 1) 0 in
-    for i = 0 to n - 1 do
-      let k = loff.(level.(i)) in
-      loff.(level.(i)) <- k + 1;
-      ord.(k) <- i;
-      fpos.(i) <- k
-    done;
-    let fparent = Array.make (Int.max n 1) (-1) in
-    let fgd = fba n and finv = fba n and fcoh = fba n in
-    fgd.{0} <- 0.;
-    finv.{0} <- 0.;
-    fcoh.{0} <- cap.{base} *. Tech.Units.rc_to_ps /. step;
-    for k = 1 to n - 1 do
-      let i = ord.(k) in
-      fparent.(k) <- fpos.(parent.(base + i));
-      fgd.{k} <- fg.(i) /. dfact.(i);
-      finv.{k} <- 1. /. dfact.(i);
-      fcoh.{k} <- cap.{base + i} *. Tech.Units.rc_to_ps /. step
-    done;
-    { fn = n; fparent; fpos; fgd; finv; fcoh; fd0 = dfact.(0); fh = step }
-
-  (* One implicit step over the permuted stage: division-free tight loops
-     on flat memory, zero allocation. [vin]/[vout] may alias. The
-     residual buffer [r] must be all-zero on entry and is left all-zero —
-     the forward sweep accumulates child contributions into it before
-     visiting a node, and the backward sweep clears each slot as it
-     consumes it, fusing what would otherwise be a third initialisation
-     pass into the two sweeps. *)
-  let step_solve f ~g0 ~vs ~(vin : float array) ~(vout : float array)
-      ~(r : float array) =
-    let n = f.fn in
-    let fcoh = f.fcoh and fgd = f.fgd and finv = f.finv in
-    let parent = f.fparent in
-    for i = n - 1 downto 1 do
-      let ri =
-        (Bigarray.Array1.unsafe_get fcoh i *. Array.unsafe_get vin i)
-        +. Array.unsafe_get r i
-      in
-      Array.unsafe_set r i ri;
-      let pa = Array.unsafe_get parent i in
-      Array.unsafe_set r pa
-        (Array.unsafe_get r pa +. (Bigarray.Array1.unsafe_get fgd i *. ri))
-    done;
-    let r0 = (fcoh.{0} *. vin.(0)) +. r.(0) +. (g0 *. vs) in
-    r.(0) <- 0.;
-    vout.(0) <- r0 /. (f.fd0 +. g0);
-    for i = 1 to n - 1 do
-      let pa = Array.unsafe_get parent i in
-      Array.unsafe_set vout i
-        ((Array.unsafe_get r i *. Bigarray.Array1.unsafe_get finv i)
-        +. (Bigarray.Array1.unsafe_get fgd i *. Array.unsafe_get vout pa));
-      Array.unsafe_set r i 0.
-    done
-
-  module Fcache = struct
-    type t = {
-      tbl : (int64 * float, ffactored centry) Hashtbl.t;
-      ring : (int64 * float) Queue.t;
-      cap : int;
-    }
-
-    let create ?(cap = 4096) () =
-      { tbl = Hashtbl.create 64; ring = Queue.create (); cap }
-
-    let get c (p : Rcflat.t) ~si ~step =
-      let key = (p.Rcflat.fp.(si), step) in
-      match clock_find c.tbl key with
-      | Some f -> f
-      | None ->
-        let f = factor p ~si ~step in
-        clock_insert c.tbl c.ring ~cap:c.cap key f;
-        f
-
-    let length c = Hashtbl.length c.tbl
-
-    let clear c =
-      Hashtbl.reset c.tbl;
-      Queue.clear c.ring
-  end
-
-  (* Same arithmetic as the boxed [stage_tau] on bit-identical inputs, so
-     the Auto controller resolves the same mult for the same stage. *)
-  let stage_tau (p : Rcflat.t) ~si ~r_drv ~watch ~down ~m =
-    let n = p.Rcflat.size.(si) in
-    let base = p.Rcflat.off.(si) in
-    let res = p.Rcflat.res and cap = p.Rcflat.cap in
-    let parent = p.Rcflat.parent in
-    for i = 0 to n - 1 do
-      down.(i) <- cap.{base + i}
-    done;
-    for i = n - 1 downto 1 do
-      let pa = parent.(base + i) in
-      down.(pa) <- down.(pa) +. down.(i)
-    done;
-    m.(0) <- Tech.Units.ps_of_rc r_drv down.(0);
-    for i = 1 to n - 1 do
-      m.(i) <- m.(parent.(base + i)) +. Tech.Units.ps_of_rc res.{base + i} down.(i)
-    done;
-    let tau = ref infinity in
-    Array.iter (fun wi -> if m.(wi) < !tau then tau := m.(wi)) watch;
-    if Float.is_finite !tau then !tau else 0.
-
-  let resolve_mult mode (p : Rcflat.t) ~si ~r_drv ~watch ~step ~down ~m =
-    match mode with
-    | Fixed -> 1
-    | Adaptive { mult } -> if mult < 2 then 1 else 2 * (mult / 2)
-    | Auto { max_mult } ->
-      if Array.length watch = 0 then 1
-      else
-        let tau = stage_tau p ~si ~r_drv ~watch ~down ~m in
-        mult_of_tau ~tau ~step ~max_mult
-
-  (* Everything a march needs besides mutable scratch. [prep] touches the
-     shared factorisation cache; [solve_prepped] touches only its own
-     workspace — the batched evaluator preps serially and fans the
-     prepped solves out across domains with zero shared mutable state. *)
-  type prepped = {
-    p_mult : int;
-    p_fine : ffactored;
-    p_a : ffactored option;
-    p_b : ffactored option;
-    p_c : ffactored option;
-  }
-
-  let prep ?(step = default_step) ?(mode = default_mode) ~fcache ~scratch
-      (p : Rcflat.t) ~si ~r_drv =
-    let n = p.Rcflat.size.(si) in
-    grow scratch ~n ~w:0;
-    let watch = p.Rcflat.watch.(si) in
-    let mult =
-      resolve_mult mode p ~si ~r_drv ~watch ~step ~down:scratch.va0
-        ~m:scratch.vb0
-    in
-    let fine = Fcache.get fcache p ~si ~step in
-    if mult <= 1 then { p_mult = mult; p_fine = fine; p_a = None; p_b = None;
-                        p_c = None }
-    else begin
-      let step_a = step *. float_of_int mult in
-      let fa = Fcache.get fcache p ~si ~step:step_a in
-      let fb = Fcache.get fcache p ~si ~step:(step_a /. 2.) in
-      let fc = Fcache.get fcache p ~si ~step:(step_a /. 4.) in
-      { p_mult = mult; p_fine = fine; p_a = Some fa; p_b = Some fb;
-        p_c = Some fc }
-    end
-
-  let simulate_prepped ?(step = default_step) ?(max_steps = default_max_steps)
-      ~ws (p : Rcflat.t) ~si ~prepped ~r_drv ~s_drv ~watch ~on_cross =
-    let n = p.Rcflat.size.(si) in
-    if n = 0 then { solves = 0; fine_equiv = 0; truncated = false }
-    else begin
-      grow ws ~n ~w:(Array.length watch);
-      let g0 = 1. /. r_drv in
-      let ramp = s_drv /. 0.8 in
-      (* The march state lives in the factorisation's level-permuted
-         space; watches follow it. The residual buffer is self-cleaning
-         across steps but may hold leftovers from the boxed kernel, which
-         shares the workspace. *)
-      let watch = Array.map (fun wi -> prepped.p_fine.fpos.(wi)) watch in
-      Array.fill ws.r 0 n 0.;
-      let r = ws.r in
-      let solve f ~vs ~vin ~vout = step_solve f ~g0 ~vs ~vin ~vout ~r in
-      (* The controller recomputes step_a/b/c with the exact expressions
-         [prep] used, so float equality selects the right handle. *)
-      let mult = prepped.p_mult in
-      let step_a = step *. float_of_int mult in
-      let rate stp =
-        let pick = function Some f -> f | None -> factor p ~si ~step:stp in
-        if stp = step_a then pick prepped.p_a
-        else if stp = step_a /. 2. then pick prepped.p_b
-        else pick prepped.p_c
-      in
-      march_core ~step ~mult ~fine:prepped.p_fine ~rate ~solve ~ws ~n ~ramp
-        ~watch ~on_cross ~max_steps
-    end
-
-  (* Flat analogue of the boxed [solve]: crossing times to (delay, slew)
-     pairs per tap, with identical truncation and NaN semantics. *)
-  let solve_prepped ?step ?max_steps ~ws (p : Rcflat.t) ~si ~prepped ~r_drv
-      ~s_drv =
-    let watch = p.Rcflat.watch.(si) in
-    let ntaps = Array.length watch in
-    let times = Array.make (Int.max (ntaps * 3) 1) nan in
-    let res =
-      simulate_prepped ?step ?max_steps ~ws p ~si ~prepped ~r_drv ~s_drv
-        ~watch
-        ~on_cross:(fun w k t -> times.((w * 3) + k) <- t)
-    in
-    let ramp = s_drv /. 0.8 in
-    Array.init ntaps (fun w ->
-        let t10 = times.(w * 3) and t50 = times.((w * 3) + 1)
-        and t90 = times.((w * 3) + 2) in
-        if Float.is_nan t90 then begin
-          if not res.truncated then
-            Numerics.fail "transient solve: NaN crossing at tap node %d"
-              p.Rcflat.tap_node.(si).(w);
-          (infinity, infinity)
-        end
-        else begin
-          let delay = t50 -. (ramp /. 2.) and slew = t90 -. t10 in
-          if Float.is_nan delay || Float.is_nan slew then
-            Numerics.fail "transient solve: NaN result at tap node %d"
-              p.Rcflat.tap_node.(si).(w);
-          (delay, slew)
-        end)
-
-  let solve ?step ?mode ?max_steps ~fcache ?ws (p : Rcflat.t) ~si ~r_drv
-      ~s_drv =
-    let ws = match ws with Some w -> w | None -> domain_workspace () in
-    let prepped = prep ?step ?mode ~fcache ~scratch:ws p ~si ~r_drv in
-    solve_prepped ?step ?max_steps ~ws p ~si ~prepped ~r_drv ~s_drv
-
-  let probe ?(step = default_step) ~fcache ?ws (p : Rcflat.t) ~si ~r_drv
-      ~s_drv ~node ~times =
-    let f = Fcache.get fcache p ~si ~step in
-    let g0 = 1. /. r_drv in
-    let n = p.Rcflat.size.(si) in
-    let node = f.fpos.(node) in
-    let v, r =
-      match ws with
-      | Some w ->
-        grow w ~n ~w:0;
-        (w.v, w.r)
-      | None -> (Array.make (Int.max n 1) 0., Array.make (Int.max n 1) 0.)
-    in
-    Array.fill v 0 n 0.;
-    Array.fill r 0 n 0.;
-    let ramp = s_drv /. 0.8 in
-    let nt = Array.length times in
-    let out = Array.make nt 0. in
-    let order = Array.init nt (fun i -> i) in
-    Array.sort (fun a b -> Float.compare times.(a) times.(b)) order;
-    let t_end = if nt = 0 then 0. else times.(order.(nt - 1)) in
-    let t = ref 0. in
-    let k = ref 0 in
-    while !t < t_end && !k < nt do
-      let t1 = !t +. step in
-      step_solve f ~g0 ~vs:(ramp_voltage ~ramp t1) ~vin:v ~vout:v ~r;
-      while !k < nt && times.(order.(!k)) <= t1 do
-        out.(order.(!k)) <- v.(node);
-        incr k
-      done;
-      t := t1
-    done;
-    while !k < nt do
-      out.(order.(!k)) <- v.(node);
-      incr k
-    done;
-    out
-end

@@ -147,9 +147,10 @@ val reset_counters : unit -> unit
     @raise Invalid_argument if the factorisation's timestep genuinely
     disagrees with [step]; if [rc.parent], [rc.res] or [rc.cap] is
     shorter than [rc.size], or some [rc.parent.(i)] (i ≥ 1) is outside
-    [0, i); or if a factorisation the march uses — [factored], or one
+    [0, i); if a factorisation the march uses — [factored], or one
     found in [fcache] (a fingerprint collision with a smaller stage) —
-    is smaller than [rc.size]. *)
+    is smaller than [rc.size]; or if some [watch] index is outside
+    [0, rc.size). *)
 val simulate :
   ?step:float -> ?mode:mode -> ?factored:factored -> ?fcache:Fcache.t ->
   ?fp:int64 -> ?ws:workspace -> ?max_steps:int -> Rcnet.t ->
@@ -171,72 +172,9 @@ val solve :
     node voltage. Passing [factored]/[fcache] reuses factorisations like
     {!solve}.
     @raise Invalid_argument on the stage and factorisation
-    preconditions of {!simulate}. *)
+    preconditions of {!simulate}, or if [node] is outside
+    [0, rc.size). *)
 val probe :
   ?step:float -> ?factored:factored -> ?fcache:Fcache.t -> ?fp:int64 ->
   ?ws:workspace -> Rcnet.t -> r_drv:float -> s_drv:float -> node:int ->
   times:float array -> float array
-
-(** The streaming kernel over an {!Rcflat} stage pool.
-
-    Same backward-Euler march and the same multi-rate controller
-    (literally shared code), but the forward/backward sweeps are tight
-    loops of [unsafe_get]/[unsafe_set] over flat memory with both
-    per-node divisions precomputed at factor time, the residual
-    initialisation fused into the sweeps, and zero per-step allocation.
-    The factored arrays are permuted into breadth-first level order, so
-    the parent-hop dependency chains of the sweeps span levels and every
-    node within a level is independent — throughput-bound multiply-adds
-    instead of one latency chain per wire. The permutation reorders the
-    residual accumulation and the reciprocal differs from the boxed
-    division by 1 ulp per operation, so crossing times drift from the
-    boxed reference at the rounding level: sub-femtosecond, observed
-    ~1e-6 ps at 100K-node stages. Fingerprints, rate selection and
-    cache keys are bit-identical, so a flat and a boxed evaluation of
-    the same tree take the same adaptive decisions. *)
-module Flat : sig
-  type ffactored
-
-  val factor : Rcflat.t -> si:int -> step:float -> ffactored
-
-  (** Per-(stage, step) factorisation cache, keyed by the pool's
-      fingerprints — equal to the boxed {!Fcache} keys. *)
-  module Fcache : sig
-    type t
-
-    val create : ?cap:int -> unit -> t
-    val get : t -> Rcflat.t -> si:int -> step:float -> ffactored
-    val length : t -> int
-    val clear : t -> unit
-  end
-
-  (** Everything a march needs besides mutable scratch: the resolved
-      rate [mult] and the factorisation handles for every rate. {!prep}
-      touches the shared {!Fcache}; {!solve_prepped} touches only the
-      workspace it is given — so preps run serially and the prepped
-      solves fan out across domains with no shared mutable state. *)
-  type prepped
-
-  val prep :
-    ?step:float -> ?mode:mode -> fcache:Fcache.t -> scratch:workspace ->
-    Rcflat.t -> si:int -> r_drv:float -> prepped
-
-  (** Flat analogue of {!solve} with the march state pre-resolved:
-      per-tap [(delay, slew)], indexed like the stage's tap arrays. *)
-  val solve_prepped :
-    ?step:float -> ?max_steps:int -> ws:workspace -> Rcflat.t -> si:int ->
-    prepped:prepped -> r_drv:float -> s_drv:float -> (float * float) array
-
-  (** [prep] + [solve_prepped] in one call — the sequential path. *)
-  val solve :
-    ?step:float -> ?mode:mode -> ?max_steps:int -> fcache:Fcache.t ->
-    ?ws:workspace -> Rcflat.t -> si:int -> r_drv:float -> s_drv:float ->
-    (float * float) array
-
-  (** Flat analogue of {!probe}: waveform of stage-local rc node [node]
-      of stage [si], fixed fine rate. *)
-  val probe :
-    ?step:float -> fcache:Fcache.t -> ?ws:workspace -> Rcflat.t -> si:int ->
-    r_drv:float -> s_drv:float -> node:int -> times:float array ->
-    float array
-end

@@ -7,12 +7,10 @@ type t = {
   engine : Analysis.Evaluator.engine;
       (** evaluation engine for every CNE (default [Spice]) *)
   flat : bool;
-      (** run the [Spice] engine through the flat-arena streaming kernel
-          ({!Analysis.Rcflat} pool + {!Analysis.Transient.Flat} marches)
-          instead of boxed per-stage records; results agree to
-          sub-femtosecond (~1e-6 ps at 100K-node stages), throughput at
-          100K+ RC nodes is several times higher. Ignored by the model
-          engines (default false) *)
+      (** must stay [false] (the default): it selected the flat-arena
+          engine, which was removed. Every evaluation entry point raises
+          [Invalid_argument] on [true]. The field goes once the benchmark
+          harness that still reads it drops it *)
   seg_len : int;
       (** RC segmentation granularity, nm (default
           {!Analysis.Rcnet.default_seg_len}) *)

@@ -560,8 +560,7 @@ let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
   (* The degraded-mode ladder: attempt 0 is the caller's configuration;
      attempt 1 turns speculation serial and pins the transient kernel to
      the fixed-rate reference march; attempt 2 additionally halves the
-     timestep and retreats from the flat kernel to the boxed reference
-     path. Later attempts (when [max_stage_retries] is raised) stay at
+     timestep. Later attempts (when [max_stage_retries] is raised) stay at
      the most conservative rung. *)
   let degraded_config k =
     if k = 0 then base_config
@@ -574,8 +573,7 @@ let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
       if k = 1 then c
       else
         { c with
-          Config.transient_step = base_config.Config.transient_step /. 2.;
-          flat = false }
+          Config.transient_step = base_config.Config.transient_step /. 2. }
     end
   in
   (* One surrogate calibration state per run (never shared across

@@ -114,8 +114,7 @@ let mode_word = function
    widths, speculation) change which stages exist, not how a given stage
    solves, so they stay in one family. *)
 let family_of (c : Config.t) =
-  Printf.sprintf "%s%s/seg%d/step%g/%s" (engine_word c.Config.engine)
-    (if c.Config.flat then "+flat" else "")
+  Printf.sprintf "%s/seg%d/step%g/%s" (engine_word c.Config.engine)
     c.Config.seg_len c.Config.transient_step
     (mode_word c.Config.transient_mode)
 

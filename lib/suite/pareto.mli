@@ -8,8 +8,8 @@
 
     Points run concurrently on a dedicated {!Analysis.Domain_pool} and
     share stage-result stores ({!Analysis.Evaluator.Store}) across
-    points: every point whose kernel numerics match (same engine, flat
-    setting, segmentation, transient step and mode — the {e family})
+    points: every point whose kernel numerics match (same engine,
+    segmentation, transient step and mode — the {e family})
     attaches a handle onto one family store, so a point re-solving a
     stage another point already solved answers it from cache instead of
     re-running the kernel. Knobs that change only the search trajectory

@@ -392,6 +392,85 @@ let test_slots_share_factorisations () =
   check_bool "dirty fast path exercised" true
     ((Ev.Incremental.stats par).Ev.dirty_refreshes > 0)
 
+(* ---------- session fallbacks, the retired flat knob, store counts ---------- *)
+
+(* A mutation the session was never told about must not poison its
+   caches: the broken anchor forces a full refresh whose result still
+   matches a from-scratch evaluation. *)
+let test_unreported_mutation_falls_back () =
+  let tree = rich_tree () in
+  let session = Ev.Incremental.create ~engine:Ev.Spice tree in
+  ignore (Ev.Incremental.refresh session);
+  Tree.set_snake tree 2 33_000;
+  Ev.Incremental.note_edits session ~edits:None
+    ~new_revision:(Tree.revision tree);
+  check_same_eval "full-refresh fallback matches"
+    (Ev.evaluate ~engine:Ev.Spice tree)
+    (Ev.Incremental.refresh session);
+  check_int "no dirty refresh happened" 0
+    (Ev.Incremental.stats session).Ev.dirty_refreshes
+
+(* The parallel schedule must also account cache traffic exactly like
+   the sequential one, through journaled edits on the dirty fast path. *)
+let test_parallel_counts_match_sequential () =
+  let tree = rich_tree () in
+  let seq = Ev.Incremental.create ~engine:Ev.Spice ~parallel:false tree in
+  let par = Ev.Incremental.create ~engine:Ev.Spice ~parallel:true tree in
+  let rng = Random.State.make [| 5 |] in
+  for i = 0 to 8 do
+    let hint =
+      if i = 0 then None
+      else begin
+        let j = Tree.Journal.start tree in
+        random_edit rng tree;
+        let hint = Core.Speculate.hint_of_journal j in
+        Tree.Journal.commit j;
+        hint
+      end
+    in
+    check_same_eval (Printf.sprintf "edit %d: parallel = sequential" i)
+      (Ev.Incremental.refresh ?edits:hint seq)
+      (Ev.Incremental.refresh ?edits:hint par)
+  done;
+  let s1 = Ev.Incremental.stats seq and s2 = Ev.Incremental.stats par in
+  check_int "identical hit counts" s1.Ev.hits s2.Ev.hits;
+  check_int "identical miss counts" s1.Ev.misses s2.Ev.misses;
+  check_int "identical dirty refreshes" s1.Ev.dirty_refreshes
+    s2.Ev.dirty_refreshes
+
+let expect_invalid label f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" label
+  | exception Invalid_argument _ -> ()
+
+(* [~flat:true] named the removed flat-arena engine: it must raise, never
+   quietly evaluate on the transient kernel instead. *)
+let test_flat_raises () =
+  let tree = rich_tree () in
+  List.iter
+    (fun (name, engine) ->
+      expect_invalid ("evaluate " ^ name) (fun () ->
+          Ev.evaluate ~engine ~flat:true tree);
+      expect_invalid ("Incremental.create " ^ name) (fun () ->
+          Ev.Incremental.create ~engine ~flat:true tree))
+    [ ("spice", Ev.Spice); ("arnoldi", Ev.Arnoldi) ]
+
+(* Two slots miss one key, both solve it, both publish it: exactly one
+   inserted it (a miss), the other found it already there (a hit). *)
+let test_store_counts () =
+  let store = Ev.Store.create () in
+  let h = Ev.Store.handle store in
+  let key = (42L, 120., 8.) and v = [| (1., 2.) |] in
+  check_bool "first find misses" true (Ev.Store.find h key = None);
+  check_bool "second find misses" true (Ev.Store.find h key = None);
+  Ev.Store.add h key v;
+  Ev.Store.add h key v;
+  check_int "one miss" 1 (Ev.Store.misses h);
+  check_int "one hit" 1 (Ev.Store.hits h);
+  check_bool "a later find hits" true (Ev.Store.find h key = Some v);
+  check_int "and counts as a hit" 2 (Ev.Store.hits h);
+  check_int "one stored entry" 1 (Ev.Store.length store)
+
 let () =
   Alcotest.run "incremental"
     [
@@ -420,5 +499,14 @@ let () =
             test_trace_cache_deltas;
           Alcotest.test_case "second-pass threshold" `Quick
             test_second_pass_threshold;
+        ] );
+      ( "evaluator",
+        [
+          Alcotest.test_case "unreported mutation falls back" `Quick
+            test_unreported_mutation_falls_back;
+          Alcotest.test_case "parallel = sequential" `Quick
+            test_parallel_counts_match_sequential;
+          Alcotest.test_case "flat raises" `Quick test_flat_raises;
+          Alcotest.test_case "store counts" `Quick test_store_counts;
         ] );
     ]

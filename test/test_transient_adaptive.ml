@@ -535,7 +535,24 @@ let test_unchecked_preconditions () =
   both_entry_points "fcache key collision" ~fcache ~fp:42L rc;
   (* The well-formed stage still runs through the same cache. *)
   check_int "valid stage unaffected" 1
-    (Array.length (Tr.solve ~fcache rc ~r_drv:150. ~s_drv:20.))
+    (Array.length (Tr.solve ~fcache rc ~r_drv:150. ~s_drv:20.));
+  (* A workspace grown by the 40-node stage holds 40 voltages, so a watch
+     or probe node past a 10-node stage's end stays inside the arrays: it
+     must be rejected, not read stale values (or march the whole budget
+     waiting for a crossing that never comes). *)
+  let ws = Tr.workspace () in
+  ignore (Tr.solve ~ws rc ~r_drv:150. ~s_drv:20.);
+  let ten = long_chain_rc 10 in
+  List.iter
+    (fun node ->
+      expect_invalid (Printf.sprintf "watch %d of a 10-node stage" node)
+        (fun () ->
+          Tr.simulate ~ws ~max_steps:2_000 ten ~r_drv:150. ~s_drv:20.
+            ~watch:[| 9; node |] ~on_cross:(fun _ _ _ -> ()));
+      expect_invalid (Printf.sprintf "probe node %d of a 10-node stage" node)
+        (fun () ->
+          Tr.probe ~ws ten ~r_drv:150. ~s_drv:20. ~node ~times:[| 10.; 100. |]))
+    [ 30; 10; -1 ]
 
 let () =
   Alcotest.run "transient-adaptive"
