@@ -438,6 +438,29 @@ let test_parallel_counts_match_sequential () =
   check_int "identical dirty refreshes" s1.Ev.dirty_refreshes
     s2.Ev.dirty_refreshes
 
+(* Rebinding to a compacted clone that really renumbers: a detached sink
+   leaves a dead node, so [compact] drops it and renumbers the rest.
+   The content-keyed caches carry over both ways (clone, then back to the
+   original) without re-solving a stage. *)
+let test_rebind_after_compact () =
+  let tree = rich_tree () in
+  let session = Ev.Incremental.create ~engine:Ev.Spice tree in
+  ignore (Ev.Incremental.refresh session);
+  Tree.detach tree 5;
+  ignore (Ev.Incremental.refresh session);
+  let clone, map = Tree.compact (Tree.copy tree) in
+  check_int "detached sink dropped" (-1) map.(5);
+  check_int "clone holds one node fewer" (Tree.size tree - 1) (Tree.size clone);
+  let misses_before = (Ev.Incremental.stats session).Ev.misses in
+  check_same_eval "compacted clone matches"
+    (Ev.evaluate ~engine:Ev.Spice clone)
+    (Ev.Incremental.refresh ~tree:clone session);
+  check_same_eval "rebinding back to the original matches"
+    (Ev.evaluate ~engine:Ev.Spice tree)
+    (Ev.Incremental.refresh ~tree session);
+  check_int "content-keyed caches carry over" misses_before
+    (Ev.Incremental.stats session).Ev.misses
+
 let expect_invalid label f =
   match f () with
   | _ -> Alcotest.failf "%s: expected Invalid_argument" label
@@ -506,6 +529,8 @@ let () =
             test_unreported_mutation_falls_back;
           Alcotest.test_case "parallel = sequential" `Quick
             test_parallel_counts_match_sequential;
+          Alcotest.test_case "rebind after compact" `Quick
+            test_rebind_after_compact;
           Alcotest.test_case "flat raises" `Quick test_flat_raises;
           Alcotest.test_case "store counts" `Quick test_store_counts;
         ] );
